@@ -38,6 +38,7 @@ from .oracle import (
     cross_validate,
     integrate_ivp,
     ode_residual,
+    pointwise_residual,
     shoot,
 )
 from .problems import (

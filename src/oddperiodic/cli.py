@@ -29,9 +29,11 @@ from .funcspace import (
     sup_norm,
 )
 from .oracle import (
+    BlowUpError,
     OracleInconclusiveError,
     cross_validate,
     ode_residual,
+    pointwise_residual,
     shoot,
 )
 from .problems import ProblemError, parse_problem
@@ -133,20 +135,11 @@ def _solve_auto(problem, method: str, tol: float, max_iter: int, modes: int):
         return solve_picard(problem, tol=tol, max_iter=max_iter, modes=modes)
 
 
-def _pointwise_residual(problem, u, n_points: int) -> np.ndarray:
-    upp = grid_samples(differentiate(u, 2), n_points)
-    k = grid_samples(problem.k, n_points)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gu = problem.g.value(grid_samples(u, n_points))
-        return np.abs(upp + gu - k)
-
-
 def _write_solution_csv(path: Path, problem, u) -> None:
     P = 4 * u.modes
     t = np.arange(P) * (problem.period / P)
-    uvals = grid_samples(u, P)
-    upvals = differentiate(u, 1)(t)
-    res = _pointwise_residual(problem, u, P)
+    uvals, res = pointwise_residual(problem, u, P)
+    upvals = grid_samples(differentiate(u, 1), P)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
@@ -230,6 +223,11 @@ def cmd_verify(args) -> int:
     except OracleInconclusiveError as exc:
         outcome = {"passed": False, "verdict": "oracle_inconclusive",
                    "residual": residual, "message": str(exc)}
+        _emit(_record("verify", cfg, problem, options, outcome, t0))
+        return EXIT_VERIFY
+    except BlowUpError as exc:
+        outcome = {"passed": False, "verdict": "oracle_blowup",
+                   "t_escape": exc.t_escape, "residual": residual}
         _emit(_record("verify", cfg, problem, options, outcome, t0))
         return EXIT_VERIFY
     passed = cv.passed and residual <= args.tol

@@ -14,10 +14,15 @@ of P points resolves sine modes 1..P/2-1 exactly; mode P/2 vanishes
 identically on that grid (it aliases to zero), so recovering all N modes of a
 function requires sampling on at least 2*(N+1) points.
 
-Synthesis/analysis tables are built with integer phase reduction and explicit
-half-grid mirroring, which makes grid samples of any series odd-symmetric to
-the last bit.  Point evaluation reduces the argument to [-T/2, T/2] and pulls
-the sign out front, so ``u(-t) == -u(t)`` holds exactly in floating point.
+Grid synthesis and analysis are discrete sine/cosine transforms computed
+through numpy's real FFT of the odd (or even) extension: O(P log P) time and
+O(P) memory per transform on P points, which is O(N log N) and O(N) for the
+grids of a few points per mode used throughout.  Synthesis writes the second
+half of the grid as the mirror of the first, which makes grid samples of any
+odd series odd-symmetric to the last bit (and of any even series,
+even-symmetric).  Point evaluation reduces the argument to [-T/2, T/2] and
+pulls the sign out front, so ``u(-t) == -u(t)`` holds exactly in floating
+point.
 """
 
 from __future__ import annotations
@@ -38,12 +43,6 @@ __all__ = [
 
 _TWO_PI = 2.0 * np.pi
 
-# Above this grid size, synthesis bypasses the table cache and evaluates
-# pointwise in chunks (keeps the cache from holding huge matrices).
-_TABLE_POINT_LIMIT = 16384
-
-_sine_tables: dict[tuple[int, int], np.ndarray] = {}
-
 
 class OddSymmetryError(ValueError):
     """Samples are not odd-periodic within tolerance; the data is outside
@@ -56,35 +55,6 @@ class OddSymmetryError(ValueError):
             f"odd-symmetry defect {defect:.3e} exceeds tolerance {tol:.3e}; "
             "samples do not come from an odd periodic function"
         )
-
-
-def _sine_table(n_points: int, n_modes: int) -> np.ndarray:
-    """Synthesis matrix B with B[j, n-1] = sin(2*pi*n*j / n_points).
-
-    Entries are computed from the integer phase q = (2*j*n) mod (2*P), which
-    keeps every sine argument in [0, 2*pi) and lets the exact zeros of the
-    basis (q = 0 or P) be forced to 0.0.  Rows j > P/2 are written as the
-    negation of their mirror row, so B[P-j] == -B[j] bitwise.
-    """
-    key = (n_points, n_modes)
-    table = _sine_tables.get(key)
-    if table is not None:
-        return table
-    P = n_points
-    if P % 2:
-        raise ValueError("grid size must be even")
-    half = P // 2
-    j = np.arange(half + 1, dtype=np.int64)
-    n = np.arange(1, n_modes + 1, dtype=np.int64)
-    q = (2 * np.outer(j, n)) % (2 * P)
-    top = np.sin(np.pi * q.astype(float) / P)
-    top[(q == 0) | (q == P)] = 0.0
-    table = np.empty((P, n_modes))
-    table[: half + 1] = top
-    table[half + 1 :] = -top[1:half][::-1]
-    table.flags.writeable = False
-    _sine_tables[key] = table
-    return table
 
 
 class _PeriodicSeries:
@@ -240,16 +210,28 @@ class EvenPeriodicFunction(_PeriodicSeries):
 def grid_samples(f, n_points: int) -> np.ndarray:
     """Samples of ``f`` at the uniform grid t_j = j*T/P, j = 0..P-1.
 
-    For odd series the cached synthesis table is used (exactly
-    odd-symmetric samples); other parities fall back to point evaluation.
+    One real FFT of length P evaluates the series on the half grid
+    j = 0..P/2: with c_m the coefficient of mode m, the transform of c is
+    sum_m c_m exp(-2*pi*i*m*j/P), whose real part is the cosine series and
+    whose imaginary part is minus the sine series.  Any N works, since on
+    this grid mode n coincides with mode n mod P.  The second half of the
+    grid mirrors the first: samples of an odd series are exactly
+    odd-symmetric with u(0) = u(T/2) = 0, those of an even series exactly
+    even-symmetric.
     """
     P = int(n_points)
     if P < 2 or P % 2:
         raise ValueError("n_points must be even and >= 2")
-    if isinstance(f, OddPeriodicFunction) and P <= _TABLE_POINT_LIMIT:
-        return _sine_table(P, f.modes) @ f.coeffs
-    t = np.arange(P) * (f.period / P)
-    return f(t)
+    half = P // 2
+    c = np.zeros(P * (f.modes // P + 1))
+    c[1:f.modes + 1] = f.coeffs
+    c = c.reshape(-1, P).sum(axis=0)
+    if isinstance(f, OddPeriodicFunction):
+        # bins 0 and P/2 of a real FFT are real: u(0) = u(T/2) = 0.0 exactly
+        head = np.fft.rfft(-c).imag
+        return np.concatenate((head, -head[half - 1:0:-1]))
+    head = np.fft.rfft(c).real
+    return np.concatenate((head, head[half - 1:0:-1]))
 
 
 def from_samples(samples, period: float, *, modes: int | None = None,
@@ -299,7 +281,8 @@ def from_samples(samples, period: float, *, modes: int | None = None,
     modes = int(modes)
     if not 1 <= modes <= P // 2:
         raise ValueError(f"modes must be in 1..{P // 2} for {P} samples")
-    coeffs = (2.0 / P) * (_sine_table(P, modes).T @ s)
+    # the rfft of real data has a real bin P/2: mode P/2 comes back exactly 0
+    coeffs = -2.0 * np.fft.rfft(s, norm="forward").imag[1:modes + 1]
     return OddPeriodicFunction(period, coeffs)
 
 
@@ -311,8 +294,8 @@ def odd_symmetry_defect(samples) -> float:
     s = np.asarray(samples, dtype=float)
     if s.ndim != 1 or s.size < 2 or s.size % 2:
         raise ValueError("need a 1-d array with an even number of samples")
-    mirrored = np.roll(s[::-1], 1)  # index j -> (P - j) mod P
-    return float(np.max(np.abs(s + mirrored)))
+    # t_0 pairs with itself, t_j with t_{P-j} = T - t_j for j >= 1
+    return float(np.maximum(abs(2.0 * s[0]), np.max(np.abs(s[1:] + s[:0:-1]))))
 
 
 def mean(f) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funcspace import OddPeriodicFunction, from_samples, grid_samples, sup_norm
+from .funcspace import OddPeriodicFunction, from_samples, grid_samples
 
 __all__ = [
     "OperatorNormBound",
@@ -95,7 +95,7 @@ def nonlinear_rhs(problem, u: OddPeriodicFunction) -> OddPeriodicFunction:
         If g produces inf/nan at any node.
     OddSymmetryError
         If the sampled g(u(.)) values are not odd-symmetric within
-        1e-10 * (1 + sup|u|).
+        1e-10 * (1 + max|u|) over the sampling grid.
     """
     N = u.modes
     su = grid_samples(u, 4 * N)
@@ -111,7 +111,8 @@ def nonlinear_rhs(problem, u: OddPeriodicFunction) -> OddPeriodicFunction:
     # the relative term admits plain rounding at the scale of g(u) (some
     # vectorized kernels are not bitwise sign-symmetric); a genuinely
     # non-odd g sits orders of magnitude above it
-    tol = 1e-10 * (1.0 + sup_norm(u)) + 1e-13 * float(np.max(np.abs(gu)))
+    tol = (1e-10 * (1.0 + float(np.max(np.abs(su))))
+           + 1e-13 * float(np.max(np.abs(gu))))
     g_of_u = from_samples(gu, u.period, modes=N, tol=tol)
     return problem.k - g_of_u
 

@@ -39,6 +39,7 @@ __all__ = [
     "OracleInconclusiveError",
     "integrate_ivp",
     "shoot",
+    "pointwise_residual",
     "ode_residual",
     "cross_validate",
 ]
@@ -264,18 +265,25 @@ def shoot(problem, v0_bracket, tol: float = 1e-11,
                           trajectory=traj, reconstructed=reconstructed)
 
 
-def ode_residual(problem, u: OddPeriodicFunction) -> float:
-    """max |u''(t) + g(u(t)) - k(t)| over a 4N-point grid.
+def pointwise_residual(problem, u: OddPeriodicFunction,
+                       n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """|u''(t_j) + g(u(t_j)) - k(t_j)| on the grid t_j = j*T/P, j = 0..P-1.
 
     The defect of the differential equation itself, with u'' taken
-    spectrally -- independent of the fixed-point formulation.
+    spectrally -- independent of the fixed-point formulation.  Returns the
+    samples u(t_j) together with the residual, so a caller that needs both
+    synthesizes u once.
     """
-    P = 4 * u.modes
-    upp = grid_samples(differentiate(u, 2), P)
-    k = grid_samples(problem.k, P)
+    upp = grid_samples(differentiate(u, 2), n_points)
+    k = grid_samples(problem.k, n_points)
+    su = grid_samples(u, n_points)
     with np.errstate(over="ignore", invalid="ignore"):
-        gu = problem.g.value(grid_samples(u, P))
-        return float(np.max(np.abs(upp + gu - k)))
+        return su, np.abs(upp + problem.g.value(su) - k)
+
+
+def ode_residual(problem, u: OddPeriodicFunction) -> float:
+    """max of :func:`pointwise_residual` over a 4N-point grid."""
+    return float(np.max(pointwise_residual(problem, u, 4 * u.modes)[1]))
 
 
 def cross_validate(problem, u: OddPeriodicFunction,

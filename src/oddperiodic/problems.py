@@ -154,8 +154,12 @@ class Problem:
     def __init__(self, period: float, g: Nonlinearity, k: OddPeriodicFunction,
                  label: str = ""):
         period = float(period)
-        if not math.isfinite(period) or period <= 0.0:
-            raise ProblemError("bad_period", f"period must be positive, got {period}")
+        square = period * period
+        # the certificate threshold 2/T^2 and the bound T^2/2 must be finite
+        if not (period > 0.0 and 0.0 < square < math.inf and 2.0 / square < math.inf):
+            raise ProblemError(
+                "bad_period",
+                f"period must be positive with finite T^2 and 2/T^2, got {period}")
         if not isinstance(g, Nonlinearity):
             raise ProblemError("bad_params", "g must be a Nonlinearity")
         if not isinstance(k, OddPeriodicFunction):
@@ -246,7 +250,12 @@ def _forcing_series(forcing, period: float) -> OddPeriodicFunction:
         if mode in seen:
             raise ProblemError("bad_forcing", f"duplicate forcing mode {mode}")
         seen.add(mode)
-        if not math.isfinite(float(amp)):
+        try:
+            amp = float(amp)
+        except (TypeError, ValueError, OverflowError):
+            raise ProblemError(
+                "bad_forcing", f"amplitude for mode {mode} must be a number, got {amp!r}")
+        if not math.isfinite(amp):
             raise ProblemError("bad_forcing", f"non-finite amplitude for mode {mode}")
         max_mode = max(max_mode, int(mode))
     coeffs = np.zeros(max_mode)

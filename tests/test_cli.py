@@ -61,6 +61,21 @@ class TestCertify:
         assert res.returncode == 3
         assert read_record(res.stdout)["outcome"]["holds"] is False
 
+    @pytest.mark.parametrize("period", [1e-300, 1e300])
+    def test_period_without_finite_threshold_exits_two(self, tmp_path, run_cli,
+                                                       period):
+        cfg = write_config(tmp_path, dict(PENDULUM, period=period))
+        res = run_cli("certify", cfg, cwd=tmp_path)
+        assert res.returncode == 2
+        assert read_record(res.stdout)["error"]["code"] == "bad_period"
+
+    def test_non_numeric_amplitude_exits_two(self, tmp_path, run_cli):
+        cfg = write_config(
+            tmp_path, dict(PENDULUM, forcing=[{"mode": 1, "amplitude": "x"}]))
+        res = run_cli("certify", cfg, cwd=tmp_path)
+        assert res.returncode == 2
+        assert read_record(res.stdout)["error"]["code"] == "bad_forcing"
+
     def test_malformed_config_exits_two(self, tmp_path, run_cli):
         path = tmp_path / "broken.json"
         path.write_text("{nope")
@@ -196,6 +211,19 @@ class TestVerify:
         rec = read_record(res.stdout)
         assert rec["outcome"]["verdict"] == "fail"
         assert rec["outcome"]["distance"] == pytest.approx(0.1, rel=0.1)
+
+    def test_oracle_blowup_exits_five(self, tmp_path, run_cli):
+        cfg = write_config(tmp_path, CUBIC)
+        res = run_cli("solve", cfg, "--modes", "64", "--out", "c.csv",
+                      cwd=tmp_path)
+        assert res.returncode == 4
+        res = run_cli("verify", cfg, "c.csv", cwd=tmp_path)
+        assert res.returncode == 5
+        outcome = read_record(res.stdout)["outcome"]
+        assert outcome["passed"] is False
+        assert outcome["verdict"] == "oracle_blowup"
+        assert 0.0 < outcome["t_escape"] <= T2PI / 2
+        assert "residual" in outcome
 
     def test_unreadable_solution_exits_two(self, tmp_path, run_cli):
         cfg = write_config(tmp_path, PENDULUM)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -25,6 +27,20 @@ def sine_coefficient_quadrature(f, n, period):
     val, _ = quad(lambda x: f(x) * np.sin(2 * np.pi * n * x / period),
                   0.0, period, limit=400, epsabs=1e-13, epsrel=1e-13)
     return 2.0 * val / period
+
+
+def dense_synthesis(coeffs, n_points, kernel):
+    """Independent reference: sum_n c_n kernel(2*pi*n*j/P), phase n*j mod P."""
+    j = np.arange(n_points)[:, None]
+    n = np.arange(1, len(coeffs) + 1)[None, :]
+    return kernel(2.0 * np.pi * ((j * n) % n_points) / n_points) @ coeffs
+
+
+def random_odd_samples(rng, n_points):
+    """Samples that are exactly odd-symmetric on a P-point grid."""
+    half = rng.uniform(-1.0, 1.0, n_points // 2 + 1)
+    half[0] = half[-1] = 0.0
+    return np.concatenate([half, -half[-2:0:-1]])
 
 
 class TestFromSamples:
@@ -82,6 +98,67 @@ class TestFromSamples:
     def test_rejects_unrecoverable_mode_request(self):
         with pytest.raises(ValueError):
             from_samples(np.zeros(8), T2PI, modes=5)
+
+
+# (modes N, grid points P): P >= 2N+2 resolves every mode, P = 2N puts the
+# top mode on the invisible P/2 line, P < 2N aliases, P = 6 is the smallest
+# grid of the odd-symmetry check used by analysis.
+TRANSFORM_SIZES = [(5, 12), (6, 12), (9, 12), (20, 8), (3, 6), (7, 6),
+                   (64, 256), (300, 512), (3, 100), (250, 100), (1, 2)]
+
+
+class TestGridTransforms:
+    @pytest.mark.parametrize("modes,n_points", TRANSFORM_SIZES)
+    @pytest.mark.parametrize("cls,kernel", [(OddPeriodicFunction, np.sin),
+                                            (EvenPeriodicFunction, np.cos)])
+    def test_synthesis_matches_dense_reference(self, rng, modes, n_points,
+                                               cls, kernel):
+        coeffs = rng.uniform(-1.0, 1.0, modes)
+        samples = grid_samples(cls(3.0, coeffs), n_points)
+        reference = dense_synthesis(coeffs, n_points, kernel)
+        np.testing.assert_allclose(samples, reference, rtol=0,
+                                   atol=1e-14 * np.sum(np.abs(coeffs)))
+
+    @pytest.mark.parametrize("modes,n_points", TRANSFORM_SIZES)
+    def test_symmetry_is_bitwise(self, rng, modes, n_points):
+        coeffs = rng.uniform(-1.0, 1.0, modes)
+        odd = grid_samples(OddPeriodicFunction(3.0, coeffs), n_points)
+        even = grid_samples(EvenPeriodicFunction(3.0, coeffs), n_points)
+        mirror = np.roll(np.arange(n_points)[::-1], 1)  # j -> (P - j) mod P
+        np.testing.assert_array_equal(odd, -odd[mirror])
+        np.testing.assert_array_equal(even, even[mirror])
+        assert odd[0] == 0.0 and odd[n_points // 2] == 0.0
+
+    @pytest.mark.parametrize("n_points", [6, 8, 12, 256, 1000])
+    def test_analysis_matches_dense_reference(self, rng, n_points):
+        samples = random_odd_samples(rng, n_points)
+        coeffs = from_samples(samples, 3.0).coeffs
+        basis = dense_synthesis(np.eye(n_points // 2), n_points, np.sin)
+        reference = (2.0 / n_points) * (basis.T @ samples)
+        np.testing.assert_allclose(coeffs, reference, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n_points", [4, 6, 8, 256, 1000])
+    def test_top_mode_comes_back_exactly_zero(self, rng, n_points):
+        samples = random_odd_samples(rng, n_points)
+        assert from_samples(samples, 3.0).coeffs[-1] == 0.0
+        # the same grid with an alias of mode P/2 folded onto it
+        u = OddPeriodicFunction(3.0, rng.uniform(-1.0, 1.0, n_points))
+        assert from_samples(grid_samples(u, n_points), 3.0).coeffs[-1] == 0.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(coeffs=st.lists(st.floats(-1.0, 1.0, allow_subnormal=False),
+                           min_size=1, max_size=80),
+           half=st.integers(1, 120))
+    def test_transforms_agree_with_reference(self, coeffs, half):
+        coeffs, P = np.array(coeffs), 2 * half
+        tol = 1e-14 * (np.sum(np.abs(coeffs)) + 1e-300)
+        odd = grid_samples(OddPeriodicFunction(2.5, coeffs), P)
+        even = grid_samples(EvenPeriodicFunction(2.5, coeffs), P)
+        assert np.max(np.abs(odd - dense_synthesis(coeffs, P, np.sin))) <= tol
+        assert np.max(np.abs(even - dense_synthesis(coeffs, P, np.cos))) <= tol
+        if P >= 2 * (coeffs.size + 1):
+            back = from_samples(odd, 2.5, modes=coeffs.size).coeffs
+            assert np.max(np.abs(back - coeffs)) <= tol
 
 
 class TestEvaluate:

@@ -13,6 +13,7 @@ from oddperiodic import (
     integrate_ivp,
     odd_symmetry_defect,
     ode_residual,
+    pointwise_residual,
     shoot,
     solve_picard,
     sup_norm,
@@ -123,6 +124,16 @@ class TestResidual:
     def test_sign_flipped_candidate(self):
         u = OddPeriodicFunction(T2PI, [1.0])
         assert ode_residual(zero_problem(), u) == pytest.approx(2.0, abs=1e-12)
+
+    def test_pointwise_residual_closed_form(self):
+        # u = sin t against u'' = sin t: the defect is |-sin t - sin t|
+        u = OddPeriodicFunction(T2PI, [1.0])
+        t = np.arange(16) * (T2PI / 16)
+        samples, residual = pointwise_residual(zero_problem(), u, 16)
+        np.testing.assert_allclose(samples, np.sin(t), atol=1e-15)
+        np.testing.assert_allclose(residual, 2.0 * np.abs(np.sin(t)), atol=1e-14)
+        assert ode_residual(zero_problem(), u) == np.max(
+            pointwise_residual(zero_problem(), u, 4)[1])
 
     def test_end_to_end_solver_residual(self):
         p = builtin("pendulum", {"a": 0.04}, period=T2PI, forcing=[(1, 0.05)])

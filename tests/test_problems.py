@@ -202,3 +202,18 @@ class TestParseProblem:
     def test_non_object_config_rejected(self):
         with pytest.raises(ProblemError):
             parse_problem("[1, 2, 3]")
+
+    @pytest.mark.parametrize("amplitude", ["x", None, [1.0], 10 ** 400],
+                             ids=["string", "null", "array", "huge_integer"])
+    def test_non_numeric_amplitude_rejected(self, amplitude):
+        cfg = dict(self.PENDULUM, forcing=[{"mode": 1, "amplitude": amplitude}])
+        with pytest.raises(ProblemError) as e:
+            parse_problem(cfg)
+        assert e.value.code == "bad_forcing"
+
+    @pytest.mark.parametrize("period", [1e-300, 1e-160, 1e300])
+    def test_period_with_unrepresentable_threshold_rejected(self, period):
+        # T^2 underflows to 0 or 2/T^2 overflows (1e-160), or T^2 overflows
+        with pytest.raises(ProblemError) as e:
+            parse_problem(dict(self.PENDULUM, period=period))
+        assert e.value.code == "bad_period"

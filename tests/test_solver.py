@@ -113,6 +113,13 @@ class TestSolvePicard:
         r2 = solve_picard(p)
         assert sup_norm(r1.solution - r2.solution) <= 1e-10
 
+    def test_high_truncation_order_agrees_with_moderate(self):
+        high = solve_picard(pendulum(), modes=4096)
+        low = solve_picard(pendulum(), modes=1024)
+        assert high.converged and low.converged
+        assert high.solution.modes == 4096
+        assert sup_norm(high.solution - low.solution) <= 1e-10
+
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
             solve_picard(pendulum(), tol=0.0)
