@@ -34,7 +34,6 @@ from .oracle import (
     cross_validate,
     ode_residual,
     pointwise_residual,
-    shoot,
 )
 from .problems import ProblemError, parse_problem
 from .solver import (
@@ -217,30 +216,29 @@ def cmd_verify(args) -> int:
                    "defect": exc.defect, "tolerance": exc.tol}
         _emit(_record("verify", cfg, problem, options, outcome, t0))
         return EXIT_VERIFY
-    residual = ode_residual(problem, u)
     try:
         cv = cross_validate(problem, u, tol=args.tol)
     except OracleInconclusiveError as exc:
         outcome = {"passed": False, "verdict": "oracle_inconclusive",
-                   "residual": residual, "message": str(exc)}
+                   "residual": ode_residual(problem, u), "message": str(exc)}
         _emit(_record("verify", cfg, problem, options, outcome, t0))
         return EXIT_VERIFY
     except BlowUpError as exc:
         outcome = {"passed": False, "verdict": "oracle_blowup",
-                   "t_escape": exc.t_escape, "residual": residual}
+                   "t_escape": exc.t_escape,
+                   "residual": ode_residual(problem, u)}
         _emit(_record("verify", cfg, problem, options, outcome, t0))
         return EXIT_VERIFY
-    passed = cv.passed and residual <= args.tol
     outcome = {
-        "passed": passed,
-        "verdict": "pass" if passed else "fail",
-        "residual": residual,
+        "passed": cv.passed,
+        "verdict": "pass" if cv.passed else "fail",
+        "residual": cv.residual_candidate,
         "residual_oracle": cv.residual_oracle,
         "distance": cv.distance,
         "shooting_v0": cv.shooting.v0,
     }
     _emit(_record("verify", cfg, problem, options, outcome, t0))
-    return EXIT_OK if passed else EXIT_VERIFY
+    return EXIT_OK if cv.passed else EXIT_VERIFY
 
 
 def cmd_sweep(args) -> int:
@@ -328,15 +326,13 @@ def cmd_compare(args) -> int:
 
     reference = solutions.get("continuation") or solutions.get("picard")
     if reference is not None:
-        v0 = float(differentiate(reference, 1)(0.0))
-        delta = 0.5 * (1.0 + abs(v0))
         try:
-            shot = shoot(problem, (v0 - delta, v0 + delta))
-            solutions["shooting"] = shot.reconstructed
+            cv = cross_validate(problem, reference)
+            solutions["shooting"] = cv.shooting.reconstructed
             results["shooting"] = {
-                "v0": shot.v0,
-                "boundary_defect": shot.boundary_defect,
-                "residual": ode_residual(problem, shot.reconstructed),
+                "v0": cv.shooting.v0,
+                "boundary_defect": cv.shooting.boundary_defect,
+                "residual": cv.residual_oracle,
             }
         except (OracleInconclusiveError, ArithmeticError) as exc:
             results["shooting"] = {"failed": str(exc)}

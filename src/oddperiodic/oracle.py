@@ -131,9 +131,14 @@ def integrate_ivp(problem, u0: float, v0: float, t_end: float,
     t = h * np.arange(steps + 1)
     # forcing values at nodes and midpoints are fixed by the grid; hoisting
     # them out of the loop keeps repeated shooting evaluations cheap
-    k_node = problem.k(t)
-    k_half = problem.k(t[:-1] + 0.5 * h)
+    k_node = problem.k(t).tolist()
+    k_half = problem.k(t[:-1] + 0.5 * h).tolist()
     g = problem.g.value
+    # stepping on Python floats and hoisting the step fractions leaves every
+    # bit as is (0.5 * h * k already groups as (0.5 * h) * k); g stays the
+    # problem's numpy callable, as math.sin or math.tanh can differ by an ulp
+    h2 = 0.5 * h
+    h6 = h / 6.0
 
     u_out = np.empty(steps + 1)
     v_out = np.empty(steps + 1)
@@ -145,14 +150,14 @@ def integrate_ivp(problem, u0: float, v0: float, t_end: float,
             kc = k_node[i + 1]
             k1u = v
             k1v = ka - float(g(u))
-            k2u = v + 0.5 * h * k1v
-            k2v = kb - float(g(u + 0.5 * h * k1u))
-            k3u = v + 0.5 * h * k2v
-            k3v = kb - float(g(u + 0.5 * h * k2u))
+            k2u = v + h2 * k1v
+            k2v = kb - float(g(u + h2 * k1u))
+            k3u = v + h2 * k2v
+            k3v = kb - float(g(u + h2 * k2u))
             k4u = v + h * k3v
             k4v = kc - float(g(u + h * k3u))
-            u += h / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-            v += h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            u += h6 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+            v += h6 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
             if not (math.isfinite(u) and math.isfinite(v)):
                 raise BlowUpError(t[i + 1])
             u_out[i + 1], v_out[i + 1] = u, v
@@ -192,10 +197,23 @@ def shoot(problem, v0_bracket, tol: float = 1e-11,
           modes: int = _RECONSTRUCTION_MODES) -> ShootingResult:
     """Solve the half-period boundary value problem by shooting on u'(0).
 
-    Finds v0 with |u(T/2; v0)| <= tol by bisection when the bracket has a
-    sign change, falling back to the secant iteration seeded from the two
-    bracket endpoints otherwise.  The converged trajectory is odd-reflected
-    to a full period and resampled into an OddPeriodicFunction.
+    Finds v0 with |u(T/2; v0)| <= tol.  The bracket midpoint is shot first
+    and returned when it meets the tolerance, as it does when the bracket
+    is centred on a good slope estimate; the endpoints are then never
+    integrated.  Otherwise the endpoints are shot: an endpoint with
+    u(T/2) exactly 0 is returned, else bisection runs on a sign change
+    (its first midpoint is the one already shot), else the secant
+    iteration seeded from the two endpoints.  The accepted slope is not
+    integrated again: the trajectory its root test produced is
+    odd-reflected to a full period and resampled into an
+    OddPeriodicFunction.
+
+    Shooting the midpoint first returns it where the endpoints alone
+    would have decided otherwise: over an endpoint with u(T/2) exactly 0,
+    over a secant iteration on a bracket without a sign change, and over
+    an endpoint that blows up.  An endpoint with u(T/2) exactly 0 is
+    returned without shooting the other one, and a blow-up of the
+    midpoint reports the midpoint's escape time.
 
     Raises
     ------
@@ -211,29 +229,35 @@ def shoot(problem, v0_bracket, tol: float = 1e-11,
         steps = _default_steps(t_half, T)
         steps = math.ceil(steps / modes) * modes  # align nodes to the grid
     steps = int(steps)
+    traj = None  # trajectory of the slope F was last called with
 
     def F(v0: float) -> float:
-        return float(integrate_ivp(problem, 0.0, v0, t_half, steps=steps).u[-1])
+        nonlocal traj
+        traj = integrate_ivp(problem, 0.0, v0, t_half, steps=steps)
+        return float(traj.u[-1])
 
     a, b = float(v0_bracket[0]), float(v0_bracket[1])
-    fa, fb = F(a), F(b)
+    m = 0.5 * (a + b)
+    fm = F(m)
     v0 = None
-    if fa == 0.0:
+    if abs(fm) <= tol:
+        v0 = m
+    elif (fa := F(a)) == 0.0:
         v0 = a
-    elif fb == 0.0:
+    elif (fb := F(b)) == 0.0:
         v0 = b
     elif fa * fb < 0.0:
-        for _ in range(200):
-            m = 0.5 * (a + b)
-            fm = F(m)
-            if abs(fm) <= tol:
-                v0 = m
-                break
+        for _ in range(199):  # 200 midpoints with the one shot above
             if fa * fm < 0.0:
                 b, fb = m, fm
             else:
                 a, fa = m, fm
             if abs(b - a) <= 1e-16 * max(1.0, abs(a), abs(b)):
+                break
+            m = 0.5 * (a + b)
+            fm = F(m)
+            if abs(fm) <= tol:
+                v0 = m
                 break
         if v0 is None:
             raise OracleInconclusiveError(
@@ -259,7 +283,6 @@ def shoot(problem, v0_bracket, tol: float = 1e-11,
                 "no sign change on the bracket and the secant iteration "
                 "stagnated; widen the bracket or reseed")
 
-    traj = integrate_ivp(problem, 0.0, v0, t_half, steps=steps)
     reconstructed = _reconstruct(traj, T, modes)
     return ShootingResult(v0=v0, boundary_defect=float(traj.u[-1]),
                           trajectory=traj, reconstructed=reconstructed)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -301,15 +302,23 @@ def builtin(family: str, params: dict | None = None, *, period: float,
             "unknown_family",
             f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
     factory, names = FAMILIES[family]
-    params = dict(params or {})
+    if params is None:
+        params = {}
+    if not isinstance(params, Mapping):
+        raise ProblemError("bad_params", f"params must be an object, got {params!r}")
     if set(params) != set(names):
         raise ProblemError(
             "bad_params",
             f"family {family!r} takes exactly params {list(names)}, got {sorted(params)}")
+    values = {}
     for key, val in params.items():
-        if not math.isfinite(float(val)):
+        try:
+            values[key] = float(val)
+        except (TypeError, ValueError, OverflowError):
+            raise ProblemError("bad_params", f"param {key} must be a number, got {val!r}")
+        if not math.isfinite(values[key]):
             raise ProblemError("bad_params", f"param {key} must be finite")
-    g = factory(**{k: float(v) for k, v in params.items()})
+    g = factory(**values)
     return make_problem(period, g, forcing, label=label or family)
 
 

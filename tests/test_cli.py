@@ -76,6 +76,14 @@ class TestCertify:
         assert res.returncode == 2
         assert read_record(res.stdout)["error"]["code"] == "bad_forcing"
 
+    @pytest.mark.parametrize("params", [[0.04], {"a": "x"}],
+                             ids=["list", "string"])
+    def test_malformed_params_exit_two(self, tmp_path, run_cli, params):
+        cfg = write_config(tmp_path, dict(PENDULUM, params=params))
+        res = run_cli("certify", cfg, cwd=tmp_path)
+        assert res.returncode == 2
+        assert read_record(res.stdout)["error"]["code"] == "bad_params"
+
     def test_malformed_config_exits_two(self, tmp_path, run_cli):
         path = tmp_path / "broken.json"
         path.write_text("{nope")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oddperiodic.oracle as oracle
 from oddperiodic import (
     BlowUpError,
     OddPeriodicFunction,
@@ -24,6 +25,46 @@ T2PI = 2.0 * np.pi
 
 def zero_problem(forcing=((1, 1.0),)):
     return builtin("zero", period=T2PI, forcing=list(forcing))
+
+
+def reference_rk4(problem, v0, t_end, steps):
+    """Classical RK4 stepped on numpy scalars, written out term by term."""
+    h = t_end / steps
+    t = h * np.arange(steps + 1)
+    k_node = problem.k(t)
+    k_half = problem.k(t[:-1] + 0.5 * h)
+    g = problem.g.value
+    u_out = np.empty(steps + 1)
+    v_out = np.empty(steps + 1)
+    u, v = 0.0, float(v0)
+    u_out[0], v_out[0] = u, v
+    for i in range(steps):
+        k1u = v
+        k1v = k_node[i] - g(u)
+        k2u = v + 0.5 * h * k1v
+        k2v = k_half[i] - g(u + 0.5 * h * k1u)
+        k3u = v + 0.5 * h * k2v
+        k3v = k_half[i] - g(u + 0.5 * h * k2u)
+        k4u = v + h * k3v
+        k4v = k_node[i + 1] - g(u + h * k3u)
+        u = u + h / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+        v = v + h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        u_out[i + 1], v_out[i + 1] = u, v
+    return u_out, v_out
+
+
+@pytest.fixture
+def shot_slopes(monkeypatch):
+    """Record the initial slope of every RK4 shot the oracle integrates."""
+    slopes = []
+    integrate = oracle.integrate_ivp
+
+    def counting(problem, u0, v0, t_end, steps=None):
+        slopes.append(v0)
+        return integrate(problem, u0, v0, t_end, steps=steps)
+
+    monkeypatch.setattr(oracle, "integrate_ivp", counting)
+    return slopes
 
 
 class TestIntegrateIvp:
@@ -60,6 +101,18 @@ class TestIntegrateIvp:
         with pytest.raises(BlowUpError) as e:
             integrate_ivp(p, 0.0, 5.0, 10.0, steps=4096)
         assert 0.0 < e.value.t_escape <= 10.0
+
+    @pytest.mark.parametrize("family,params,forcing", [
+        ("pendulum", {"a": 0.04}, [(1, 0.05)]),
+        ("tanh_g", {"s": 1.0}, [(1, 0.5)]),
+        ("linear", {"c": 0.01}, [(1, 1.0), (3, -0.2)]),
+    ])
+    def test_bitwise_equal_to_numpy_scalar_loop(self, family, params, forcing):
+        p = builtin(family, params, period=T2PI, forcing=forcing)
+        traj = integrate_ivp(p, 0.0, 0.3, np.pi, steps=1024)
+        u_ref, v_ref = reference_rk4(p, 0.3, np.pi, 1024)
+        assert np.array_equal(traj.u, u_ref)
+        assert np.array_equal(traj.v, v_ref)
 
     def test_rk4_fourth_order_convergence(self):
         p = builtin("linear", {"c": 1.0}, period=T2PI, forcing=[])
@@ -98,6 +151,37 @@ class TestShoot:
     def test_degenerate_seed_is_inconclusive(self):
         with pytest.raises(OracleInconclusiveError):
             shoot(zero_problem(), (0.7, 0.7))
+
+    def test_bisection_shoots_each_slope_once(self, shot_slopes):
+        # the midpoint -0.75 misses u(pi) = 0, so the bracket is bisected
+        p = zero_problem()
+        shot = shoot(p, (-2.0, 0.5))
+        assert len(shot_slopes) > 3
+        assert len(set(shot_slopes)) == len(shot_slopes)
+        assert shot_slopes[:3] == [-0.75, -2.0, 0.5]
+        # plain bisection from the endpoints reaches the same slope
+        steps = len(shot.trajectory.t) - 1
+
+        def F(v0):
+            return integrate_ivp(p, 0.0, v0, np.pi, steps=steps).u[-1]
+
+        a, b = -2.0, 0.5
+        fa = F(a)
+        for _ in range(200):
+            m = 0.5 * (a + b)
+            fm = F(m)
+            if abs(fm) <= 1e-11:
+                break
+            if fa * fm < 0.0:
+                b = m
+            else:
+                a, fa = m, fm
+        assert shot.v0 == m
+        # the accepted shot's own trajectory is returned
+        assert shot.trajectory.v[0] == shot.v0
+        assert np.array_equal(shot.trajectory.u,
+                              integrate_ivp(p, 0.0, m, np.pi, steps=steps).u)
+        assert shot.boundary_defect == shot.trajectory.u[-1] == fm
 
     def test_reconstruction_quality_invariants(self):
         p = builtin("pendulum", {"a": 0.04}, period=T2PI, forcing=[(1, 0.05)])
@@ -148,6 +232,14 @@ class TestCrossValidate:
         cv = cross_validate(p, u, tol=1e-6)
         assert cv.passed
         assert cv.distance <= 1e-10
+
+    def test_converged_candidate_costs_one_shot(self, shot_slopes):
+        p = builtin("pendulum", {"a": 0.04}, period=T2PI, forcing=[(1, 0.05)])
+        report = solve_picard(p)
+        assert report.converged
+        cv = cross_validate(p, report.solution, tol=1e-6)
+        assert cv.passed
+        assert shot_slopes == [cv.shooting.v0]
 
     def test_pendulum_solver_output(self):
         p = builtin("pendulum", {"a": 0.04}, period=T2PI, forcing=[(1, 0.05)])

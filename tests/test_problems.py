@@ -211,6 +211,15 @@ class TestParseProblem:
             parse_problem(cfg)
         assert e.value.code == "bad_forcing"
 
+    @pytest.mark.parametrize("params", [[0.04], {"a": "x"}, {"a": None},
+                                        {"a": [0.04]}, {"a": 10 ** 400}],
+                             ids=["list", "string", "null", "array",
+                                  "huge_integer"])
+    def test_malformed_params_rejected(self, params):
+        with pytest.raises(ProblemError) as e:
+            parse_problem(dict(self.PENDULUM, params=params))
+        assert e.value.code == "bad_params"
+
     @pytest.mark.parametrize("period", [1e-300, 1e-160, 1e300])
     def test_period_with_unrepresentable_threshold_rejected(self, period):
         # T^2 underflows to 0 or 2/T^2 overflows (1e-160), or T^2 overflows
