@@ -43,6 +43,7 @@ from .oracle import (
 )
 from .problems import (
     FAMILIES,
+    MAX_MODES,
     Nonlinearity,
     Problem,
     ProblemError,

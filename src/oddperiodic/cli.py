@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -35,7 +36,7 @@ from .oracle import (
     ode_residual,
     pointwise_residual,
 )
-from .problems import ProblemError, parse_problem
+from .problems import MAX_MODES, ProblemError, parse_problem
 from .solver import (
     DEFAULT_MAX_ITER,
     DEFAULT_MODES,
@@ -54,6 +55,7 @@ EXIT_NO_CONV = 4
 EXIT_VERIFY = 5
 
 CSV_HEADER = ["t", "u", "u_prime", "residual_pointwise"]
+MAX_SWEEP_STEPS = 10_000
 
 
 def _fmt(x) -> str:
@@ -61,8 +63,25 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float inside it replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
+def _dumps(record: dict) -> str:
+    """Strict JSON: a non-finite float is written as null, not as the
+    non-standard tokens Infinity and NaN."""
+    return json.dumps(_finite_or_null(record), indent=2, sort_keys=True)
+
+
 def _emit(record: dict) -> None:
-    print(json.dumps(record, indent=2, sort_keys=True))
+    print(_dumps(record))
 
 
 def _fail(code: int, error_code: str, message: str) -> int:
@@ -174,7 +193,7 @@ def cmd_solve(args) -> int:
                "max_iter": args.max_iter, "modes": args.modes,
                "out": str(out)}
     record = _record("solve", cfg, problem, options, _report_outcome(report), t0)
-    _sidecar_path(out).write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    _sidecar_path(out).write_text(_dumps(record) + "\n")
     _emit(record)
     return EXIT_OK if report.converged else EXIT_NO_CONV
 
@@ -244,8 +263,10 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
     cfg, base_problem = _load(args.config)
-    if args.steps < 1 or not (np.isfinite(args.start) and np.isfinite(args.stop)):
-        return _fail(EXIT_INPUT, "bad_range", "need finite range and steps >= 1")
+    if not (1 <= args.steps <= MAX_SWEEP_STEPS
+            and np.isfinite(args.start) and np.isfinite(args.stop)):
+        return _fail(EXIT_INPUT, "bad_range",
+                     f"need finite range and 1 <= steps <= {MAX_SWEEP_STEPS}")
     if args.stop < args.start:
         return _fail(EXIT_INPUT, "bad_range", "sweep range must have stop >= start")
     param = args.param
@@ -411,6 +432,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if getattr(args, "modes", 0) > MAX_MODES:
+        return _fail(EXIT_INPUT, "bad_modes",
+                     f"--modes {args.modes} is above the ceiling {MAX_MODES}")
     try:
         return args.handler(args)
     except ProblemError as exc:

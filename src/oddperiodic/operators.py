@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funcspace import OddPeriodicFunction, from_samples, grid_samples
+from .funcspace import OddPeriodicFunction, _full_grid, _sine_analysis
+# bound here only for bench/tests, which rebinds operators.grid_samples
+from .funcspace import grid_samples  # noqa: F401
 
 __all__ = [
     "OperatorNormBound",
@@ -69,6 +71,12 @@ def inverse_norm_bound(period: float) -> OperatorNormBound:
     return OperatorNormBound(period=period, certified_bound=period * period / 2.0)
 
 
+def _neg_gains(period: float, modes: int) -> np.ndarray:
+    """-(T/(2*pi*n))^2 for n = 1..modes: the inverse of u -> u'' per sine mode."""
+    n = np.arange(1, modes + 1)
+    return -(period / (_TWO_PI * n)) ** 2
+
+
 def invert_second_derivative(f: OddPeriodicFunction) -> OddPeriodicFunction:
     """The unique odd periodic u with u'' = f.
 
@@ -76,9 +84,50 @@ def invert_second_derivative(f: OddPeriodicFunction) -> OddPeriodicFunction:
     is exceptional because the basis has no constant term -- this is exactly
     the non-resonance that makes the fixed-point formulation well posed.
     """
-    n = np.arange(1, f.modes + 1)
-    gain = (f.period / (_TWO_PI * n)) ** 2
-    return OddPeriodicFunction(f.period, -gain * f.coeffs)
+    return OddPeriodicFunction(f.period, _neg_gains(f.period, f.modes) * f.coeffs)
+
+
+def _padded_forcing(problem, modes: int) -> np.ndarray:
+    """Sine coefficients of k, zero-padded to at least ``modes``."""
+    forcing = np.zeros(max(modes, problem.k.modes))
+    forcing[:problem.k.modes] = problem.k.coeffs
+    return forcing
+
+
+def _map_coefficients(problem, b: np.ndarray, forcing: np.ndarray,
+                      neg_gains: np.ndarray | None = None) -> np.ndarray:
+    """Sine coefficients of k - g(u) for u with sine coefficients ``b``.
+
+    With ``neg_gains`` from :func:`_neg_gains`, the coefficients of
+    fixed_point_map(u) instead.  ``forcing`` comes from
+    :func:`_padded_forcing` for ``b.size`` modes, so a loop builds it and
+    the gains once.  Raises what :func:`nonlinear_rhs` raises.
+    """
+    N = b.size
+    su = _full_grid(b, 4 * N)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gu = problem.g.value(su)
+    # the 1e300 cap keeps the analysis sums representable
+    if not np.all(np.isfinite(gu)) or (g_max := float(np.max(np.abs(gu)))) > 1e300:
+        raise NonFiniteNonlinearityError(
+            "g(u) is non-finite (or beyond overflow scale) on the sampling "
+            "grid; the iterate has left the region where this nonlinearity "
+            "can be evaluated"
+        )
+    # the relative term admits plain rounding at the scale of g(u) (some
+    # vectorized kernels are not bitwise sign-symmetric); a genuinely
+    # non-odd g sits orders of magnitude above it
+    tol = 1e-10 * (1.0 + float(np.max(np.abs(su)))) + 1e-13 * g_max
+    rhs = forcing.copy()
+    rhs[:N] -= _sine_analysis(gu, N, tol)
+    if neg_gains is not None:
+        rhs *= neg_gains
+    return rhs
+
+
+def _check_period(problem, u: OddPeriodicFunction) -> None:
+    if u.period != problem.period:
+        raise ValueError(f"period mismatch: {problem.period!r} vs {u.period!r}")
 
 
 def nonlinear_rhs(problem, u: OddPeriodicFunction) -> OddPeriodicFunction:
@@ -92,29 +141,15 @@ def nonlinear_rhs(problem, u: OddPeriodicFunction) -> OddPeriodicFunction:
     Raises
     ------
     NonFiniteNonlinearityError
-        If g produces inf/nan at any node.
+        If g produces inf/nan (or values above 1e300) at any node.
     OddSymmetryError
         If the sampled g(u(.)) values are not odd-symmetric within
-        1e-10 * (1 + max|u|) over the sampling grid.
+        1e-10 * (1 + max|u|) + 1e-13 * max|g(u)| over the sampling grid.
     """
-    N = u.modes
-    su = grid_samples(u, 4 * N)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gu = problem.g.value(su)
-    # the 1e300 cap keeps the analysis sums representable
-    if not np.all(np.isfinite(gu)) or np.max(np.abs(gu)) > 1e300:
-        raise NonFiniteNonlinearityError(
-            "g(u) is non-finite (or beyond overflow scale) on the sampling "
-            "grid; the iterate has left the region where this nonlinearity "
-            "can be evaluated"
-        )
-    # the relative term admits plain rounding at the scale of g(u) (some
-    # vectorized kernels are not bitwise sign-symmetric); a genuinely
-    # non-odd g sits orders of magnitude above it
-    tol = (1e-10 * (1.0 + float(np.max(np.abs(su))))
-           + 1e-13 * float(np.max(np.abs(gu))))
-    g_of_u = from_samples(gu, u.period, modes=N, tol=tol)
-    return problem.k - g_of_u
+    _check_period(problem, u)
+    forcing = _padded_forcing(problem, u.modes)
+    return OddPeriodicFunction(problem.period,
+                               _map_coefficients(problem, u.coeffs, forcing))
 
 
 def fixed_point_map(problem, u: OddPeriodicFunction) -> OddPeriodicFunction:
@@ -122,4 +157,8 @@ def fixed_point_map(problem, u: OddPeriodicFunction) -> OddPeriodicFunction:
 
     Solutions of u'' + g(u) = k are exactly the fixed points of this map.
     """
-    return invert_second_derivative(nonlinear_rhs(problem, u))
+    _check_period(problem, u)
+    forcing = _padded_forcing(problem, u.modes)
+    coeffs = _map_coefficients(problem, u.coeffs, forcing,
+                               _neg_gains(problem.period, forcing.size))
+    return OddPeriodicFunction(problem.period, coeffs)

@@ -213,7 +213,8 @@ def shoot(problem, v0_bracket, tol: float = 1e-11,
     over a secant iteration on a bracket without a sign change, and over
     an endpoint that blows up.  An endpoint with u(T/2) exactly 0 is
     returned without shooting the other one, and a blow-up of the
-    midpoint reports the midpoint's escape time.
+    midpoint reports the midpoint's escape time.  An endpoint equal to the
+    midpoint (a degenerate bracket) is not shot again.
 
     Raises
     ------
@@ -239,12 +240,23 @@ def shoot(problem, v0_bracket, tol: float = 1e-11,
     a, b = float(v0_bracket[0]), float(v0_bracket[1])
     m = 0.5 * (a + b)
     fm = F(m)
+    traj_m = traj
+
+    def F_end(v0: float) -> float:
+        # an endpoint equal to the midpoint (a == b, or adjacent doubles)
+        # reuses the midpoint's shot
+        nonlocal traj
+        if v0 != m:
+            return F(v0)
+        traj = traj_m
+        return fm
+
     v0 = None
     if abs(fm) <= tol:
         v0 = m
-    elif (fa := F(a)) == 0.0:
+    elif (fa := F_end(a)) == 0.0:
         v0 = a
-    elif (fb := F(b)) == 0.0:
+    elif (fb := F_end(b)) == 0.0:
         v0 = b
     elif fa * fb < 0.0:
         for _ in range(199):  # 200 midpoints with the one shot above

@@ -38,10 +38,16 @@ __all__ = [
     "Problem",
     "ProblemError",
     "FAMILIES",
+    "MAX_MODES",
     "builtin",
     "make_problem",
     "parse_problem",
 ]
+
+
+# Ceiling on a forcing mode and on the CLI's --modes: far above any practical
+# N, low enough that no input can make an allocation kill the process.
+MAX_MODES = 2**16
 
 
 class ProblemError(ValueError):
@@ -248,6 +254,9 @@ def _forcing_series(forcing, period: float) -> OddPeriodicFunction:
                 "bad_mode",
                 f"forcing mode {mode} rejected: mode 0 or below would break "
                 "oddness/mean-zero")
+        if mode > MAX_MODES:
+            raise ProblemError(
+                "bad_mode", f"forcing mode {mode} is above the ceiling {MAX_MODES}")
         if mode in seen:
             raise ProblemError("bad_forcing", f"duplicate forcing mode {mode}")
         seen.add(mode)

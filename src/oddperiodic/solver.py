@@ -35,10 +35,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .funcspace import OddPeriodicFunction, sup_norm
+from .funcspace import OddPeriodicFunction, _sup_norms, sup_norm
 from .operators import (
     NonFiniteNonlinearityError,
-    fixed_point_map,
+    _check_period,
+    _map_coefficients,
+    _neg_gains,
+    _padded_forcing,
     inverse_norm_bound,
 )
 from .oracle import ode_residual
@@ -183,6 +186,7 @@ def solve_picard(problem, *, initial_guess: OddPeriodicFunction | None = None,
         u = OddPeriodicFunction.zero(problem.period, N)
     else:
         u = initial_guess.with_modes(max(N, initial_guess.modes))
+        _check_period(problem, u)
 
     cert = _try_certificate(problem)
     regime = ("certified_contraction" if cert is not None and cert.holds
@@ -190,19 +194,22 @@ def solve_picard(problem, *, initial_guess: OddPeriodicFunction | None = None,
 
     step_norms: list[float] = []
     max_norm = sup_norm(u)
+    b = u.coeffs
+    forcing = _padded_forcing(problem, b.size)
+    neg_gains = _neg_gains(problem.period, b.size)
     converged = False
     failure = None
     iterations = 0
     for iterations in range(1, max_iter + 1):
         try:
-            u_next = fixed_point_map(problem, u)
+            b_next = _map_coefficients(problem, b, forcing, neg_gains)
         except NonFiniteNonlinearityError:
             failure = "non_finite"
             break
-        step = sup_norm(u_next - u)
+        step, norm = _step_and_iterate_norms(np.array((b_next - b, b_next)))
         step_norms.append(step)
-        u = u_next
-        max_norm = max(max_norm, sup_norm(u))
+        b = b_next
+        max_norm = max(max_norm, norm)
         if step < tol:
             converged = True
             break
@@ -211,6 +218,7 @@ def solve_picard(problem, *, initial_guess: OddPeriodicFunction | None = None,
     if not converged and failure is None:
         failure = "max_iter"
 
+    u = OddPeriodicFunction(problem.period, b)
     residual = ode_residual(problem, u)
     return SolveReport(
         solution=u,
@@ -225,12 +233,27 @@ def solve_picard(problem, *, initial_guess: OddPeriodicFunction | None = None,
     )
 
 
+def _step_and_iterate_norms(rows: np.ndarray) -> tuple[float, float]:
+    """sup_norm of the step (row 0) and of the new iterate (row 1).
+
+    Both come from :func:`_sup_norms`, one transform call on grids of up
+    to 4096 points.  A non-finite coefficient raises the ValueError that
+    building either as a series would raise.
+    """
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("coeffs must be finite")
+    step, norm = _sup_norms(rows)
+    return float(step), float(norm)
+
+
 def _damped_picard(problem, u: OddPeriodicFunction, lam: float, tol: float,
-                   max_iter: int) -> tuple[OddPeriodicFunction, bool, list[float], float]:
+                   max_iter: int, forcing: np.ndarray, neg_gains: np.ndarray,
+                   ) -> tuple[OddPeriodicFunction, bool, list[float], float]:
     """Fixed point of u = lam * map(u) by Picard with optional damping.
 
     Damping theta drops from 1 to 0.5 once the iteration oscillates (three
-    consecutive direction reversals of the coefficient step).  Returns
+    consecutive direction reversals of the coefficient step).  ``forcing``
+    and ``neg_gains`` are the map's data for u's truncation order.  Returns
     (iterate, converged, step_norms, max_iterate_norm).
     """
     theta = 1.0
@@ -238,26 +261,28 @@ def _damped_picard(problem, u: OddPeriodicFunction, lam: float, tol: float,
     reversals = 0
     step_norms: list[float] = []
     max_norm = sup_norm(u)
+    b = u.coeffs
+    converged = False
     for _ in range(max_iter):
-        target = lam * fixed_point_map(problem, u)
-        step_vec = target - u
+        target = lam * _map_coefficients(problem, b, forcing, neg_gains)
+        step_vec = target - b
         if prev_step is not None and theta == 1.0:
-            # align coefficient arrays; lengths match within one stage
-            n = min(step_vec.modes, prev_step.modes)
-            if float(np.dot(step_vec.coeffs[:n], prev_step.coeffs[:n])) < 0.0:
+            if float(np.dot(step_vec, prev_step)) < 0.0:
                 reversals += 1
                 if reversals >= 3:
                     theta = 0.5
             else:
                 reversals = 0
         prev_step = step_vec
-        u = u + theta * step_vec
-        step = theta * sup_norm(step_vec)
+        b = b + theta * step_vec
+        step_sup, norm = _step_and_iterate_norms(np.array((step_vec, b)))
+        step = theta * step_sup
         step_norms.append(step)
-        max_norm = max(max_norm, sup_norm(u))
+        max_norm = max(max_norm, norm)
         if step < tol:
-            return u, True, step_norms, max_norm
-    return u, False, step_norms, max_norm
+            converged = True
+            break
+    return OddPeriodicFunction(problem.period, b), converged, step_norms, max_norm
 
 
 def solve_continuation(problem, *, lambda_step: float = 0.1,
@@ -290,6 +315,8 @@ def solve_continuation(problem, *, lambda_step: float = 0.1,
 
     N = max(int(modes), problem.k.modes)
     u = OddPeriodicFunction.zero(problem.period, N)
+    forcing = _padded_forcing(problem, N)
+    neg_gains = _neg_gains(problem.period, N)
     lam = 0.0
     path: list[float] = []
     step = float(lambda_step)
@@ -304,7 +331,7 @@ def solve_continuation(problem, *, lambda_step: float = 0.1,
             lam_next = 1.0
         try:
             u_trial, ok, hist, stage_max = _damped_picard(
-                problem, u, lam_next, tol, max_iter_per_step)
+                problem, u, lam_next, tol, max_iter_per_step, forcing, neg_gains)
         except NonFiniteNonlinearityError:
             # a blown-up stage is just a failed stage: retry smaller
             ok, u_trial, hist, stage_max = False, u, [], max_norm

@@ -6,6 +6,8 @@ import json
 import numpy as np
 import pytest
 
+from oddperiodic import MAX_MODES
+
 T2PI = 2.0 * np.pi
 
 PENDULUM = {
@@ -43,6 +45,15 @@ def write_config(tmp_path, cfg, name="problem.json"):
 
 def read_record(stdout: str) -> dict:
     return json.loads(stdout)
+
+
+def reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def read_strict(text: str) -> dict:
+    """Parse as strict JSON: Infinity, -Infinity and NaN are errors."""
+    return json.loads(text, parse_constant=reject_constant)
 
 
 class TestCertify:
@@ -83,6 +94,13 @@ class TestCertify:
         res = run_cli("certify", cfg, cwd=tmp_path)
         assert res.returncode == 2
         assert read_record(res.stdout)["error"]["code"] == "bad_params"
+
+    def test_forcing_mode_above_ceiling_exits_two(self, tmp_path, run_cli):
+        cfg = write_config(tmp_path, dict(
+            PENDULUM, forcing=[{"mode": MAX_MODES + 1, "amplitude": 1.0}]))
+        res = run_cli("certify", cfg, cwd=tmp_path)
+        assert res.returncode == 2
+        assert read_record(res.stdout)["error"]["code"] == "bad_mode"
 
     def test_malformed_config_exits_two(self, tmp_path, run_cli):
         path = tmp_path / "broken.json"
@@ -155,6 +173,27 @@ class TestSolve:
         res = run_cli("solve", cfg, "--out", "z.csv", cwd=tmp_path)
         rec = read_record(res.stdout)
         assert json.loads(json.dumps(rec)) == rec
+
+    def test_modes_above_ceiling_exits_two(self, tmp_path, run_cli):
+        cfg = write_config(tmp_path, PENDULUM)
+        res = run_cli("solve", cfg, "--modes", str(MAX_MODES + 1),
+                      "--out", "p.csv", cwd=tmp_path)
+        assert res.returncode == 2
+        assert read_record(res.stdout)["error"]["code"] == "bad_modes"
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_non_finite_values_are_strict_json_null(self, tmp_path, run_cli):
+        cfg = write_config(tmp_path, CUBIC)
+        res = run_cli("solve", cfg, "--modes", "64", "--out", "c.csv",
+                      cwd=tmp_path)
+        assert res.returncode == 4
+        for text in (res.stdout, (tmp_path / "c.csv.json").read_text()):
+            assert read_strict(text)["outcome"]["residual"] is None
+        res = run_cli("verify", cfg, "c.csv", cwd=tmp_path)
+        assert res.returncode == 5
+        outcome = read_strict(res.stdout)["outcome"]
+        assert outcome["verdict"] == "oracle_blowup"
+        assert outcome["residual"] is None
 
     def test_modes_flag_sets_grid_size(self, tmp_path, run_cli):
         cfg = write_config(tmp_path, ZERO)
@@ -291,6 +330,16 @@ class TestSweep:
                       "--to", "2", "--steps", "2", "--out", "s.csv",
                       cwd=tmp_path)
         assert res.returncode == 2
+
+
+    def test_steps_above_ceiling_exits_two(self, tmp_path, run_cli):
+        cfg = write_config(tmp_path, PENDULUM)
+        res = run_cli("sweep", cfg, "--param", "period", "--from", "1",
+                      "--to", "2", "--steps", "10001", "--out", "s.csv",
+                      cwd=tmp_path)
+        assert res.returncode == 2
+        assert read_record(res.stdout)["error"]["code"] == "bad_range"
+        assert not (tmp_path / "s.csv").exists()
 
 
 class TestCompare:

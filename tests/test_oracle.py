@@ -152,6 +152,12 @@ class TestShoot:
         with pytest.raises(OracleInconclusiveError):
             shoot(zero_problem(), (0.7, 0.7))
 
+    def test_degenerate_bracket_shoots_once(self, shot_slopes):
+        # both endpoints equal the midpoint: its shot is reused for them
+        with pytest.raises(OracleInconclusiveError):
+            shoot(zero_problem(), (0.7, 0.7))
+        assert shot_slopes == [0.7]
+
     def test_bisection_shoots_each_slope_once(self, shot_slopes):
         # the midpoint -0.75 misses u(pi) = 0, so the bracket is bisected
         p = zero_problem()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oddperiodic import (
+    MAX_MODES,
     MajorantError,
     Nonlinearity,
     OddPeriodicFunction,
@@ -151,6 +152,20 @@ class TestParseProblem:
         with pytest.raises(ProblemError) as e:
             parse_problem(cfg)
         assert e.value.code == "bad_mode"
+
+    def test_mode_above_ceiling_rejected(self):
+        cfg = dict(self.PENDULUM,
+                   forcing=[{"mode": MAX_MODES + 1, "amplitude": 1.0}])
+        with pytest.raises(ProblemError) as e:
+            parse_problem(cfg)
+        assert e.value.code == "bad_mode"
+        assert "ceiling" in str(e.value)
+
+    def test_mode_at_ceiling_accepted(self):
+        cfg = dict(self.PENDULUM, forcing=[{"mode": MAX_MODES, "amplitude": 1e-3}])
+        p = parse_problem(cfg)
+        assert p.k.modes == MAX_MODES and p.k.coeffs[-1] == 1e-3
+        assert certify(p).holds
 
     def test_unknown_keys_rejected(self):
         cfg = dict(self.PENDULUM, flavor="salty")

@@ -6,11 +6,15 @@ import pytest
 from oddperiodic import (
     CertificateError,
     MajorantError,
+    Nonlinearity,
     OddPeriodicFunction,
     apriori_bound,
     builtin,
     certify,
+    differentiate,
     fixed_point_map,
+    grid_samples,
+    make_problem,
     solve_continuation,
     solve_picard,
     sup_norm,
@@ -243,3 +247,118 @@ class TestUniquenessProbe:
     def test_requires_two_trials(self):
         with pytest.raises(ValueError):
             uniqueness_probe(pendulum(), 1)
+
+
+def reference_picard(problem, modes, tol=1e-12, max_iter=10_000):
+    """Picard iteration on series objects through the public map."""
+    u = OddPeriodicFunction.zero(problem.period, max(modes, problem.k.modes))
+    step_norms, max_norm = [], sup_norm(u)
+    for iterations in range(1, max_iter + 1):
+        u_next = fixed_point_map(problem, u)
+        step_norms.append(sup_norm(u_next - u))
+        u = u_next
+        max_norm = max(max_norm, sup_norm(u))
+        if step_norms[-1] < tol:
+            break
+    return u, step_norms, max_norm, iterations
+
+
+def reference_continuation(problem, modes, lambda_step=0.1, tol=1e-12,
+                           max_iter=5000, min_lambda_step=1e-4):
+    """Continuation with damped Picard stages on series objects; also
+    returns how many stages ended with the damping theta at 0.5."""
+    u = OddPeriodicFunction.zero(problem.period, max(modes, problem.k.modes))
+    lam, step, path, damped = 0.0, lambda_step, [], 0
+    max_norm, step_norms, iterations = 0.0, [], 0
+    while step >= min_lambda_step:
+        lam_next = lam + step
+        if lam_next >= 1.0 - 1e-12:
+            lam_next = 1.0
+        v, theta, prev, reversals = u, 1.0, None, 0
+        hist, stage_max, ok = [], sup_norm(v), False
+        for _ in range(max_iter):
+            step_vec = lam_next * fixed_point_map(problem, v) - v
+            if prev is not None and theta == 1.0:
+                if float(np.dot(step_vec.coeffs, prev.coeffs)) < 0.0:
+                    reversals += 1
+                    theta = 0.5 if reversals >= 3 else theta
+                else:
+                    reversals = 0
+            prev = step_vec
+            v = v + theta * step_vec
+            hist.append(theta * sup_norm(step_vec))
+            stage_max = max(stage_max, sup_norm(v))
+            if hist[-1] < tol:
+                ok = True
+                break
+        iterations += len(hist)
+        max_norm = max(max_norm, stage_max)
+        damped += theta == 0.5
+        if not ok:
+            step *= 0.5
+            continue
+        lam, u, step_norms = lam_next, v, hist
+        path.append(lam)
+        if lam >= 1.0:
+            break
+    return u, step_norms, max_norm, iterations, path, damped
+
+
+class TestCoefficientLoops:
+    """The solvers iterate on coefficient arrays; they must reproduce the
+    same iteration written with series objects bit for bit."""
+
+    # 1024 modes take the step norms on 8192-point grids, one FFT call per row
+    @pytest.mark.parametrize("problem,regime,modes", [
+        (pendulum(), "certified_contraction", 64),
+        (pendulum(), "certified_contraction", 1024),
+        (builtin("linear", {"c": 0.1}, period=T2PI, forcing=[(1, 1.0), (3, 0.2)]),
+         "uncertified_picard", 64),
+    ], ids=["pendulum", "pendulum-1024", "linear"])
+    def test_picard_matches_series_loop(self, problem, regime, modes):
+        report = solve_picard(problem, modes=modes)
+        u, step_norms, max_norm, iterations = reference_picard(problem, modes)
+        assert report.regime == regime and report.converged
+        assert np.array_equal(report.solution.coeffs, u.coeffs)
+        assert np.array_equal(report.step_norms, step_norms)
+        assert report.max_iterate_norm == max_norm
+        assert report.iterations == iterations
+
+    def test_continuation_matches_series_loop(self):
+        # g' < 0 makes successive steps alternate, so every stage damps
+        p = builtin("tanh_g", {"s": -1.0}, period=3.0, forcing=[(1, 0.5)])
+        report = solve_continuation(p, modes=64)
+        u, step_norms, max_norm, iterations, path, damped = \
+            reference_continuation(p, 64)
+        assert damped > 0
+        assert report.converged and path[-1] == 1.0
+        assert np.array_equal(report.solution.coeffs, u.coeffs)
+        assert np.array_equal(report.step_norms, step_norms)
+        assert report.max_iterate_norm == max_norm
+        assert report.iterations == iterations
+        assert report.lambda_path == path
+
+    @pytest.mark.parametrize("modes", [1, 5, 64, 100])
+    @pytest.mark.parametrize("refinement", [1, 3, 8])
+    def test_sup_norm_is_the_grid_maximum(self, rng, modes, refinement):
+        coeffs = rng.uniform(-1.0, 1.0, modes)
+        P = max(refinement * modes, 8)
+        P += P % 2  # refinement 1 puts P below 2N: the modes alias
+        for f in (OddPeriodicFunction(3.0, coeffs),
+                  differentiate(OddPeriodicFunction(3.0, coeffs), 1)):
+            assert sup_norm(f, refinement) == np.max(np.abs(grid_samples(f, P)))
+
+    @pytest.mark.parametrize("g", [
+        # finite, but above the 1e300 cap as soon as |u| > 0.5
+        Nonlinearity("step", lambda x: 1e305 * np.sign(x) * (np.abs(x) > 0.5),
+                     lambda x: np.zeros_like(x)),
+        # overflows to inf
+        Nonlinearity("sinh", np.sinh, np.cosh),
+    ], ids=["cap", "overflow"])
+    def test_blow_up_ends_non_finite(self, g):
+        p = make_problem(T2PI, g, [(1, 50.0)])
+        report = solve_picard(p, modes=64)
+        assert not report.converged
+        assert report.failure == "non_finite"
+        assert report.iterations == len(report.step_norms) + 1
+        assert np.all(np.isfinite(report.solution.coeffs))
