@@ -432,9 +432,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if getattr(args, "modes", 0) > MAX_MODES:
+    if hasattr(args, "modes") and not 1 <= args.modes <= MAX_MODES:
         return _fail(EXIT_INPUT, "bad_modes",
-                     f"--modes {args.modes} is above the ceiling {MAX_MODES}")
+                     f"--modes {args.modes} is outside 1..{MAX_MODES}")
     try:
         return args.handler(args)
     except ProblemError as exc:

@@ -356,18 +356,9 @@ def _norm_points(modes: int, refinement: int = 8) -> int:
     return P + P % 2
 
 
-# Above this many grid points numpy's multi-row rfft measured slower than one
-# call per row: 40-65% per solve iteration at 8192 and 16384 points, against
-# 7-15% faster at 512-4096 (2-core x86-64 host with AVX-512, numpy 2.4).
-_BATCH_POINTS = 4096
-
-
 def _sup_norms(rows: np.ndarray) -> np.ndarray:
-    """:func:`sup_norm` of each row of sine coefficients: one FFT call for
-    all rows on grids of up to ``_BATCH_POINTS`` points, one per row above."""
+    """:func:`sup_norm` of each row of sine coefficients, from one FFT call."""
     P = _norm_points(rows.shape[-1])
-    if P > _BATCH_POINTS:
-        return np.array([np.max(np.abs(_half_grid(row, P))) for row in rows])
     return np.max(np.abs(_half_grid(rows, P)), axis=-1)
 
 

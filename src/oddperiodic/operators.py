@@ -87,42 +87,43 @@ def invert_second_derivative(f: OddPeriodicFunction) -> OddPeriodicFunction:
     return OddPeriodicFunction(f.period, _neg_gains(f.period, f.modes) * f.coeffs)
 
 
-def _padded_forcing(problem, modes: int) -> np.ndarray:
-    """Sine coefficients of k, zero-padded to at least ``modes``."""
-    forcing = np.zeros(max(modes, problem.k.modes))
-    forcing[:problem.k.modes] = problem.k.coeffs
-    return forcing
+def _coefficient_map(problem, modes: int, invert: bool = True):
+    """The solution map on sine-coefficient arrays of ``modes`` modes.
 
-
-def _map_coefficients(problem, b: np.ndarray, forcing: np.ndarray,
-                      neg_gains: np.ndarray | None = None) -> np.ndarray:
-    """Sine coefficients of k - g(u) for u with sine coefficients ``b``.
-
-    With ``neg_gains`` from :func:`_neg_gains`, the coefficients of
-    fixed_point_map(u) instead.  ``forcing`` comes from
-    :func:`_padded_forcing` for ``b.size`` modes, so a loop builds it and
-    the gains once.  Raises what :func:`nonlinear_rhs` raises.
+    Returns a function taking the coefficients b of u to those of
+    fixed_point_map(u), or with ``invert=False`` of nonlinear_rhs(u).  The
+    forcing, zero-padded to at least ``modes``, and the inverse gains are
+    built here once, so a loop builds the map once and applies it per
+    iteration.  An application raises what :func:`nonlinear_rhs` raises.
     """
-    N = b.size
-    su = _full_grid(b, 4 * N)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gu = problem.g.value(su)
-    # the 1e300 cap keeps the analysis sums representable
-    if not np.all(np.isfinite(gu)) or (g_max := float(np.max(np.abs(gu)))) > 1e300:
-        raise NonFiniteNonlinearityError(
-            "g(u) is non-finite (or beyond overflow scale) on the sampling "
-            "grid; the iterate has left the region where this nonlinearity "
-            "can be evaluated"
-        )
-    # the relative term admits plain rounding at the scale of g(u) (some
-    # vectorized kernels are not bitwise sign-symmetric); a genuinely
-    # non-odd g sits orders of magnitude above it
-    tol = 1e-10 * (1.0 + float(np.max(np.abs(su)))) + 1e-13 * g_max
-    rhs = forcing.copy()
-    rhs[:N] -= _sine_analysis(gu, N, tol)
-    if neg_gains is not None:
-        rhs *= neg_gains
-    return rhs
+    N = int(modes)
+    forcing = np.zeros(max(N, problem.k.modes))
+    forcing[:problem.k.modes] = problem.k.coeffs
+    neg_gains = _neg_gains(problem.period, forcing.size) if invert else None
+
+    def apply(b: np.ndarray) -> np.ndarray:
+        su = _full_grid(b, 4 * N)
+        with np.errstate(over="ignore", invalid="ignore"):
+            gu = problem.g.value(su)
+        # the 1e300 cap keeps the analysis sums representable
+        if (not np.all(np.isfinite(gu))
+                or (g_max := float(np.max(np.abs(gu)))) > 1e300):
+            raise NonFiniteNonlinearityError(
+                "g(u) is non-finite (or beyond overflow scale) on the sampling "
+                "grid; the iterate has left the region where this nonlinearity "
+                "can be evaluated"
+            )
+        # the relative term admits plain rounding at the scale of g(u) (some
+        # vectorized kernels are not bitwise sign-symmetric); a genuinely
+        # non-odd g sits orders of magnitude above it
+        tol = 1e-10 * (1.0 + float(np.max(np.abs(su)))) + 1e-13 * g_max
+        rhs = forcing.copy()
+        rhs[:N] -= _sine_analysis(gu, N, tol)
+        if neg_gains is not None:
+            rhs *= neg_gains
+        return rhs
+
+    return apply
 
 
 def _check_period(problem, u: OddPeriodicFunction) -> None:
@@ -147,9 +148,8 @@ def nonlinear_rhs(problem, u: OddPeriodicFunction) -> OddPeriodicFunction:
         1e-10 * (1 + max|u|) + 1e-13 * max|g(u)| over the sampling grid.
     """
     _check_period(problem, u)
-    forcing = _padded_forcing(problem, u.modes)
-    return OddPeriodicFunction(problem.period,
-                               _map_coefficients(problem, u.coeffs, forcing))
+    rhs = _coefficient_map(problem, u.modes, invert=False)
+    return OddPeriodicFunction(problem.period, rhs(u.coeffs))
 
 
 def fixed_point_map(problem, u: OddPeriodicFunction) -> OddPeriodicFunction:
@@ -158,7 +158,5 @@ def fixed_point_map(problem, u: OddPeriodicFunction) -> OddPeriodicFunction:
     Solutions of u'' + g(u) = k are exactly the fixed points of this map.
     """
     _check_period(problem, u)
-    forcing = _padded_forcing(problem, u.modes)
-    coeffs = _map_coefficients(problem, u.coeffs, forcing,
-                               _neg_gains(problem.period, forcing.size))
-    return OddPeriodicFunction(problem.period, coeffs)
+    step = _coefficient_map(problem, u.modes)
+    return OddPeriodicFunction(problem.period, step(u.coeffs))

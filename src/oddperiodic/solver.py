@@ -39,9 +39,7 @@ from .funcspace import OddPeriodicFunction, _sup_norms, sup_norm
 from .operators import (
     NonFiniteNonlinearityError,
     _check_period,
-    _map_coefficients,
-    _neg_gains,
-    _padded_forcing,
+    _coefficient_map,
     inverse_norm_bound,
 )
 from .oracle import ode_residual
@@ -195,14 +193,13 @@ def solve_picard(problem, *, initial_guess: OddPeriodicFunction | None = None,
     step_norms: list[float] = []
     max_norm = sup_norm(u)
     b = u.coeffs
-    forcing = _padded_forcing(problem, b.size)
-    neg_gains = _neg_gains(problem.period, b.size)
+    step_map = _coefficient_map(problem, b.size)
     converged = False
     failure = None
     iterations = 0
     for iterations in range(1, max_iter + 1):
         try:
-            b_next = _map_coefficients(problem, b, forcing, neg_gains)
+            b_next = step_map(b)
         except NonFiniteNonlinearityError:
             failure = "non_finite"
             break
@@ -236,9 +233,8 @@ def solve_picard(problem, *, initial_guess: OddPeriodicFunction | None = None,
 def _step_and_iterate_norms(rows: np.ndarray) -> tuple[float, float]:
     """sup_norm of the step (row 0) and of the new iterate (row 1).
 
-    Both come from :func:`_sup_norms`, one transform call on grids of up
-    to 4096 points.  A non-finite coefficient raises the ValueError that
-    building either as a series would raise.
+    Both come from one transform call.  A non-finite coefficient raises
+    the ValueError that building either as a series would raise.
     """
     if not np.all(np.isfinite(rows)):
         raise ValueError("coeffs must be finite")
@@ -246,15 +242,15 @@ def _step_and_iterate_norms(rows: np.ndarray) -> tuple[float, float]:
     return float(step), float(norm)
 
 
-def _damped_picard(problem, u: OddPeriodicFunction, lam: float, tol: float,
-                   max_iter: int, forcing: np.ndarray, neg_gains: np.ndarray,
-                   ) -> tuple[OddPeriodicFunction, bool, list[float], float]:
+def _damped_picard(step_map, u: OddPeriodicFunction, lam: float, tol: float,
+                   max_iter: int) -> tuple[OddPeriodicFunction, bool,
+                                           list[float], float]:
     """Fixed point of u = lam * map(u) by Picard with optional damping.
 
     Damping theta drops from 1 to 0.5 once the iteration oscillates (three
-    consecutive direction reversals of the coefficient step).  ``forcing``
-    and ``neg_gains`` are the map's data for u's truncation order.  Returns
-    (iterate, converged, step_norms, max_iterate_norm).
+    consecutive direction reversals of the coefficient step).  ``step_map``
+    is the map on u's coefficients (``operators._coefficient_map``).
+    Returns (iterate, converged, step_norms, max_iterate_norm).
     """
     theta = 1.0
     prev_step = None
@@ -264,7 +260,7 @@ def _damped_picard(problem, u: OddPeriodicFunction, lam: float, tol: float,
     b = u.coeffs
     converged = False
     for _ in range(max_iter):
-        target = lam * _map_coefficients(problem, b, forcing, neg_gains)
+        target = lam * step_map(b)
         step_vec = target - b
         if prev_step is not None and theta == 1.0:
             if float(np.dot(step_vec, prev_step)) < 0.0:
@@ -282,7 +278,7 @@ def _damped_picard(problem, u: OddPeriodicFunction, lam: float, tol: float,
         if step < tol:
             converged = True
             break
-    return OddPeriodicFunction(problem.period, b), converged, step_norms, max_norm
+    return OddPeriodicFunction(u.period, b), converged, step_norms, max_norm
 
 
 def solve_continuation(problem, *, lambda_step: float = 0.1,
@@ -315,8 +311,7 @@ def solve_continuation(problem, *, lambda_step: float = 0.1,
 
     N = max(int(modes), problem.k.modes)
     u = OddPeriodicFunction.zero(problem.period, N)
-    forcing = _padded_forcing(problem, N)
-    neg_gains = _neg_gains(problem.period, N)
+    step_map = _coefficient_map(problem, N)
     lam = 0.0
     path: list[float] = []
     step = float(lambda_step)
@@ -331,7 +326,7 @@ def solve_continuation(problem, *, lambda_step: float = 0.1,
             lam_next = 1.0
         try:
             u_trial, ok, hist, stage_max = _damped_picard(
-                problem, u, lam_next, tol, max_iter_per_step, forcing, neg_gains)
+                step_map, u, lam_next, tol, max_iter_per_step)
         except NonFiniteNonlinearityError:
             # a blown-up stage is just a failed stage: retry smaller
             ok, u_trial, hist, stage_max = False, u, [], max_norm

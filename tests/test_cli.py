@@ -174,9 +174,10 @@ class TestSolve:
         rec = read_record(res.stdout)
         assert json.loads(json.dumps(rec)) == rec
 
-    def test_modes_above_ceiling_exits_two(self, tmp_path, run_cli):
+    @pytest.mark.parametrize("modes", [MAX_MODES + 1, 0, -5])
+    def test_modes_outside_range_exits_two(self, tmp_path, run_cli, modes):
         cfg = write_config(tmp_path, PENDULUM)
-        res = run_cli("solve", cfg, "--modes", str(MAX_MODES + 1),
+        res = run_cli("solve", cfg, "--modes", str(modes),
                       "--out", "p.csv", cwd=tmp_path)
         assert res.returncode == 2
         assert read_record(res.stdout)["error"]["code"] == "bad_modes"

@@ -308,7 +308,7 @@ class TestCoefficientLoops:
     """The solvers iterate on coefficient arrays; they must reproduce the
     same iteration written with series objects bit for bit."""
 
-    # 1024 modes take the step norms on 8192-point grids, one FFT call per row
+    # at 1024 modes the 2-row FFT of the step norms runs on 8192 points
     @pytest.mark.parametrize("problem,regime,modes", [
         (pendulum(), "certified_contraction", 64),
         (pendulum(), "certified_contraction", 1024),
