@@ -40,6 +40,7 @@ from .oracle import (
     ode_residual,
     pointwise_residual,
     shoot,
+    shooting_distances,
 )
 from .problems import (
     FAMILIES,
@@ -59,7 +60,9 @@ from .solver import (
     SolveReport,
     apriori_bound,
     certify,
+    solve,
     solve_continuation,
+    solve_many,
     solve_picard,
     uniqueness_probe,
 )

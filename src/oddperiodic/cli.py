@@ -35,8 +35,9 @@ from .oracle import (
     cross_validate,
     ode_residual,
     pointwise_residual,
+    shooting_distances,
 )
-from .problems import MAX_MODES, ProblemError, parse_problem
+from .problems import MAX_MODES, ProblemError, make_problem, parse_problem
 from .solver import (
     DEFAULT_MAX_ITER,
     DEFAULT_MODES,
@@ -44,7 +45,9 @@ from .solver import (
     CertificateError,
     MajorantError,
     certify,
+    solve,
     solve_continuation,
+    solve_many,
     solve_picard,
 )
 
@@ -133,26 +136,6 @@ def _report_outcome(report) -> dict:
     return out
 
 
-def _solve_auto(problem, method: str, tol: float, max_iter: int, modes: int):
-    """Route to picard/continuation; 'auto' prefers the certified regime."""
-    if method == "picard":
-        return solve_picard(problem, tol=tol, max_iter=max_iter, modes=modes)
-    if method == "continuation":
-        return solve_continuation(problem, tol=tol,
-                                  max_iter_per_step=max_iter, modes=modes)
-    try:
-        holds = certify(problem).holds
-    except CertificateError:
-        holds = False
-    if holds:
-        return solve_picard(problem, tol=tol, max_iter=max_iter, modes=modes)
-    try:
-        return solve_continuation(problem, tol=tol,
-                                  max_iter_per_step=max_iter, modes=modes)
-    except MajorantError:
-        return solve_picard(problem, tol=tol, max_iter=max_iter, modes=modes)
-
-
 def _write_solution_csv(path: Path, problem, u) -> None:
     P = 4 * u.modes
     t = np.arange(P) * (problem.period / P)
@@ -186,7 +169,8 @@ def cmd_certify(args) -> int:
 def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     cfg, problem = _load(args.config)
-    report = _solve_auto(problem, args.method, args.tol, args.max_iter, args.modes)
+    report = solve(problem, method=args.method, tol=args.tol,
+                   max_iter=args.max_iter, modes=args.modes)
     out = Path(args.out)
     _write_solution_csv(out, problem, report.solution)
     options = {"method": args.method, "tol": args.tol,
@@ -274,28 +258,26 @@ def cmd_sweep(args) -> int:
         return _fail(EXIT_INPUT, "bad_range",
                      f"unknown sweep parameter {param!r} for this config")
     values = np.linspace(args.start, args.stop, args.steps)
+    if param == "period":
+        # every row shares the base problem's g, so a batched step makes
+        # one g call for all rows
+        forcing = list(enumerate(base_problem.k.coeffs.tolist(), start=1))
+        problems = [make_problem(float(value), base_problem.g, forcing,
+                                 label=base_problem.label) for value in values]
+    else:
+        problems = [parse_problem({**cfg, "params": {**cfg["params"],
+                                                      param: float(value)}})
+                    for value in values]
+    reports = solve_many(problems, tol=args.tol, max_iter=args.max_iter,
+                         modes=args.modes)
+    distances = shooting_distances(problems, [r.solution for r in reports])
     rows = []
-    for value in values:
-        sub = json.loads(json.dumps(cfg))
-        if param == "period":
-            sub["period"] = float(value)
-        else:
-            sub["params"][param] = float(value)
-        problem = parse_problem(sub)
-        try:
-            cert = certify(problem)
-            lam, holds = cert.factor, cert.holds
-        except CertificateError:
-            lam, holds = float("nan"), False
-        report = _solve_auto(problem, "auto", args.tol, args.max_iter, args.modes)
-        try:
-            distance = cross_validate(problem, report.solution).distance
-        except (OracleInconclusiveError, ArithmeticError):
-            distance = float("nan")
+    for value, report, distance in zip(values, reports, distances):
+        cert = report.certificate
         rows.append({
             "param": float(value),
-            "lambda": lam,
-            "holds": holds,
+            "lambda": cert.factor if cert is not None else float("nan"),
+            "holds": cert is not None and cert.holds,
             "converged": report.converged,
             "iterations": report.iterations,
             "solution_norm": sup_norm(report.solution),

@@ -220,18 +220,19 @@ def _half_grid(coeffs, n_points: int, odd: bool = True) -> np.ndarray:
     *rows, N = np.shape(coeffs)
     c = np.zeros((*rows, n_points * (N // n_points + 1)))
     c[..., 1:N + 1] = coeffs
-    c = c.reshape(*rows, -1, n_points).sum(axis=-2)
+    if N >= n_points:
+        c = c.reshape(*rows, -1, n_points).sum(axis=-2)
     if odd:
         # bins 0 and P/2 of a real FFT are real: u(0) = u(T/2) = 0.0 exactly
-        return np.fft.rfft(-c).imag
+        return np.fft.rfft(np.negative(c, out=c)).imag
     return np.fft.rfft(c).real
 
 
 def _full_grid(coeffs, n_points: int, odd: bool = True) -> np.ndarray:
-    """:func:`_half_grid` completed to the full grid by mirroring."""
+    """:func:`_half_grid` completed to the full grid by mirroring each row."""
     head = _half_grid(coeffs, n_points, odd)
-    tail = head[n_points // 2 - 1:0:-1]
-    return np.concatenate((head, -tail if odd else tail))
+    tail = head[..., n_points // 2 - 1:0:-1]
+    return np.concatenate((head, -tail if odd else tail), axis=-1)
 
 
 def grid_samples(f, n_points: int) -> np.ndarray:
@@ -280,11 +281,6 @@ def from_samples(samples, period: float, *, modes: int | None = None,
         For non-finite samples, odd or too-short sample counts, or a
         requested order above P/2.
     """
-    return OddPeriodicFunction(period, _sine_analysis(samples, modes, tol))
-
-
-def _sine_analysis(samples, modes: int | None, tol: float | None) -> np.ndarray:
-    """The checks and the coefficients of :func:`from_samples`."""
     s = np.asarray(samples, dtype=float)
     if s.ndim != 1 or s.size < 4 or s.size % 2:
         raise ValueError("need a 1-d array with an even number (>= 4) of samples")
@@ -301,8 +297,14 @@ def _sine_analysis(samples, modes: int | None, tol: float | None) -> np.ndarray:
     modes = int(modes)
     if not 1 <= modes <= P // 2:
         raise ValueError(f"modes must be in 1..{P // 2} for {P} samples")
+    return OddPeriodicFunction(period, _sine_rows(s, modes))
+
+
+def _sine_rows(samples: np.ndarray, modes: int) -> np.ndarray:
+    """Sine coefficients 1..modes of each row of full-grid samples, from
+    one real FFT call and without checks."""
     # the rfft of real data has a real bin P/2: mode P/2 comes back exactly 0
-    return -2.0 * np.fft.rfft(s, norm="forward").imag[1:modes + 1]
+    return -2.0 * np.fft.rfft(samples, norm="forward").imag[..., 1:modes + 1]
 
 
 def odd_symmetry_defect(samples) -> float:
@@ -313,8 +315,14 @@ def odd_symmetry_defect(samples) -> float:
     s = np.asarray(samples, dtype=float)
     if s.ndim != 1 or s.size < 2 or s.size % 2:
         raise ValueError("need a 1-d array with an even number of samples")
+    return float(_symmetry_defects(s))
+
+
+def _symmetry_defects(rows: np.ndarray) -> np.ndarray:
+    """:func:`odd_symmetry_defect` of each row, without checks."""
     # t_0 pairs with itself, t_j with t_{P-j} = T - t_j for j >= 1
-    return float(np.maximum(abs(2.0 * s[0]), np.max(np.abs(s[1:] + s[:0:-1]))))
+    return np.maximum(abs(2.0 * rows[..., 0]),
+                      np.max(np.abs(rows[..., 1:] + rows[..., :0:-1]), axis=-1))
 
 
 def mean(f) -> float:

@@ -15,9 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funcspace import OddPeriodicFunction, _full_grid, _sine_analysis
+from .funcspace import (
+    OddPeriodicFunction,
+    OddSymmetryError,
+    _full_grid,
+    _sine_rows,
+    _symmetry_defects,
+)
 # bound here only for bench/tests, which rebinds operators.grid_samples
 from .funcspace import grid_samples  # noqa: F401
+from .problems import _row_values
 
 __all__ = [
     "OperatorNormBound",
@@ -87,43 +94,61 @@ def invert_second_derivative(f: OddPeriodicFunction) -> OddPeriodicFunction:
     return OddPeriodicFunction(f.period, _neg_gains(f.period, f.modes) * f.coeffs)
 
 
-def _coefficient_map(problem, modes: int, invert: bool = True):
+class _CoefficientMap:
     """The solution map on sine-coefficient arrays of ``modes`` modes.
 
-    Returns a function taking the coefficients b of u to those of
-    fixed_point_map(u), or with ``invert=False`` of nonlinear_rhs(u).  The
-    forcing, zero-padded to at least ``modes``, and the inverse gains are
-    built here once, so a loop builds the map once and applies it per
-    iteration.  An application raises what :func:`nonlinear_rhs` raises.
+    Takes the coefficients b of u to those of fixed_point_map(u), or with
+    ``invert=False`` of nonlinear_rhs(u), and raises what nonlinear_rhs
+    raises.  The forcing, zero-padded to at least ``modes``, and the
+    inverse gains are built once, for every application.
     """
-    N = int(modes)
-    forcing = np.zeros(max(N, problem.k.modes))
-    forcing[:problem.k.modes] = problem.k.coeffs
-    neg_gains = _neg_gains(problem.period, forcing.size) if invert else None
 
-    def apply(b: np.ndarray) -> np.ndarray:
-        su = _full_grid(b, 4 * N)
-        with np.errstate(over="ignore", invalid="ignore"):
-            gu = problem.g.value(su)
-        # the 1e300 cap keeps the analysis sums representable
-        if (not np.all(np.isfinite(gu))
-                or (g_max := float(np.max(np.abs(gu)))) > 1e300):
-            raise NonFiniteNonlinearityError(
-                "g(u) is non-finite (or beyond overflow scale) on the sampling "
-                "grid; the iterate has left the region where this nonlinearity "
-                "can be evaluated"
-            )
+    def __init__(self, problem, modes: int, invert: bool = True) -> None:
+        self.g = problem.g
+        self.forcing = np.zeros(max(int(modes), problem.k.modes))
+        self.forcing[:problem.k.modes] = problem.k.coeffs
+        self.gains = _neg_gains(problem.period, self.forcing.size) if invert else 1.0
+
+    def __call__(self, b: np.ndarray) -> np.ndarray:
+        (out,) = _apply_maps([self], b[np.newaxis])
+        if isinstance(out, Exception):
+            raise out
+        return out
+
+
+def _apply_maps(maps, rows: np.ndarray) -> list:
+    """``maps[i]`` applied to ``rows[i]`` for every row, with one transform
+    of each kind; entry i is the new coefficients or the exception the map
+    alone would raise, so a failing row leaves the others alone."""
+    N = rows.shape[1]
+    su = _full_grid(rows, 4 * N)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gu = _row_values([m.g for m in maps])(su)
+        g_max = np.max(np.abs(gu), axis=1)
         # the relative term admits plain rounding at the scale of g(u) (some
         # vectorized kernels are not bitwise sign-symmetric); a genuinely
         # non-odd g sits orders of magnitude above it
-        tol = 1e-10 * (1.0 + float(np.max(np.abs(su)))) + 1e-13 * g_max
-        rhs = forcing.copy()
-        rhs[:N] -= _sine_analysis(gu, N, tol)
-        if neg_gains is not None:
-            rhs *= neg_gains
-        return rhs
-
-    return apply
+        tol = 1e-10 * (1.0 + np.max(np.abs(su), axis=1)) + 1e-13 * g_max
+        defect = _symmetry_defects(gu)
+    # the 1e300 cap keeps the analysis sums representable
+    blown = ~(g_max <= 1e300)
+    good = ~blown & ~(defect > tol)
+    analysis = _sine_rows(gu if good.all() else
+                          np.where(good[:, np.newaxis], gu, 0.0), N)
+    out = []
+    for i, m in enumerate(maps):
+        if blown[i]:
+            out.append(NonFiniteNonlinearityError(
+                "g(u) is non-finite (or beyond overflow scale) on the sampling "
+                "grid; the iterate has left the region where this nonlinearity "
+                "can be evaluated"))
+        elif not good[i]:
+            out.append(OddSymmetryError(defect[i], tol[i]))
+        else:
+            rhs = m.forcing.copy()
+            rhs[:N] -= analysis[i]
+            out.append(rhs * m.gains)
+    return out
 
 
 def _check_period(problem, u: OddPeriodicFunction) -> None:
@@ -148,7 +173,7 @@ def nonlinear_rhs(problem, u: OddPeriodicFunction) -> OddPeriodicFunction:
         1e-10 * (1 + max|u|) + 1e-13 * max|g(u)| over the sampling grid.
     """
     _check_period(problem, u)
-    rhs = _coefficient_map(problem, u.modes, invert=False)
+    rhs = _CoefficientMap(problem, u.modes, invert=False)
     return OddPeriodicFunction(problem.period, rhs(u.coeffs))
 
 
@@ -158,5 +183,5 @@ def fixed_point_map(problem, u: OddPeriodicFunction) -> OddPeriodicFunction:
     Solutions of u'' + g(u) = k are exactly the fixed points of this map.
     """
     _check_period(problem, u)
-    step = _coefficient_map(problem, u.modes)
+    step = _CoefficientMap(problem, u.modes)
     return OddPeriodicFunction(problem.period, step(u.coeffs))

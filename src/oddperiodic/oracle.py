@@ -30,6 +30,7 @@ from .funcspace import (
     grid_samples,
     sup_norm,
 )
+from .problems import _row_values
 
 __all__ = [
     "Trajectory",
@@ -42,6 +43,7 @@ __all__ = [
     "pointwise_residual",
     "ode_residual",
     "cross_validate",
+    "shooting_distances",
 ]
 
 # default integrator density: h <= T / _STEPS_PER_PERIOD
@@ -133,10 +135,14 @@ def integrate_ivp(problem, u0: float, v0: float, t_end: float,
     # them out of the loop keeps repeated shooting evaluations cheap
     k_node = problem.k(t).tolist()
     k_half = problem.k(t[:-1] + 0.5 * h).tolist()
-    g = problem.g.value
+    value = problem.g.value
+
     # stepping on Python floats and hoisting the step fractions leaves every
     # bit as is (0.5 * h * k already groups as (0.5 * h) * k); g stays the
     # problem's numpy callable, as math.sin or math.tanh can differ by an ulp
+    def g(x: float) -> float:
+        return float(value(x))
+
     h2 = 0.5 * h
     h6 = h / 6.0
 
@@ -146,25 +152,82 @@ def integrate_ivp(problem, u0: float, v0: float, t_end: float,
     u_out[0], v_out[0] = u, v
     with np.errstate(over="ignore", invalid="ignore"):  # blow-up is detected below
         for i in range(steps):
-            ka, kb = k_node[i], k_half[i]
-            kc = k_node[i + 1]
-            k1u = v
-            k1v = ka - float(g(u))
-            k2u = v + h2 * k1v
-            k2v = kb - float(g(u + h2 * k1u))
-            k3u = v + h2 * k2v
-            k3v = kb - float(g(u + h2 * k2u))
-            k4u = v + h * k3v
-            k4v = kc - float(g(u + h * k3u))
-            u += h6 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-            v += h6 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            u, v = _rk4_step(g, u, v, h, h2, h6, k_node[i], k_half[i],
+                             k_node[i + 1])
             if not (math.isfinite(u) and math.isfinite(v)):
                 raise BlowUpError(t[i + 1])
             u_out[i + 1], v_out[i + 1] = u, v
     return Trajectory(t=t, u=u_out, v=v_out)
 
 
-def _reconstruct(traj: Trajectory, period: float,
+def _rk4_step(g, u, v, h, h2, h6, ka, kb, kc):
+    """One classical RK4 step of u' = v, v' = k - g(u), on floats or on
+    arrays over rows; k is ``ka``, ``kb``, ``kc`` at the step's start,
+    middle and end, and h2 = h/2, h6 = h/6."""
+    k1u = v
+    k1v = ka - g(u)
+    k2u = v + h2 * k1v
+    k2v = kb - g(u + h2 * k1u)
+    k3u = v + h2 * k2v
+    k3v = kb - g(u + h2 * k2u)
+    k4u = v + h * k3v
+    k4v = kc - g(u + h * k3u)
+    return (u + h6 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
+            v + h6 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v))
+
+
+def _integrate_rows(problems, u0, v0, t_end, steps: int):
+    """:func:`integrate_ivp` of many rows at once, each with its own
+    ``u0``, ``v0`` and ``t_end`` but the same ``steps``: one loop over the
+    steps on arrays over the rows.
+
+    Returns u at the nodes, one row per problem, with row i bitwise that
+    of integrate_ivp, and the escape time of each row that blows up (NaN
+    for the others).  A row is dropped at its escape, so the others run on
+    untouched; its u is NaN from there on.
+    """
+    n = len(problems)
+    h = np.asarray(t_end, dtype=float) / steps
+    # forcing at the nodes and midpoints of each row, one step per line
+    k_node, k_half = np.empty((steps + 1, n)), np.empty((steps, n))
+    for j, p in enumerate(problems):
+        t = h[j] * np.arange(steps + 1)
+        k_node[:, j] = p.k(t)
+        k_half[:, j] = p.k(t[:-1] + 0.5 * h[j])
+    gs = [p.g for p in problems]
+    g = _row_values(gs)
+    h2 = 0.5 * h
+    h6 = h / 6.0
+
+    u_out = np.full((steps + 1, n), np.nan)
+    t_escape = np.full(n, np.nan)
+    live = np.arange(n)
+    u = np.array(u0, dtype=float)
+    v = np.array(v0, dtype=float)
+    u_out[0] = u
+    with np.errstate(over="ignore", invalid="ignore"):  # blow-up is detected below
+        for i in range(steps):
+            u, v = _rk4_step(g, u, v, h, h2, h6, k_node[i], k_half[i],
+                             k_node[i + 1])
+            if not (np.isfinite(u).all() and np.isfinite(v).all()):
+                keep = np.isfinite(u) & np.isfinite(v)
+                t_escape[live[~keep]] = h[~keep] * (i + 1)  # the node t[i + 1]
+                live, u, v, h, h2, h6 = (x[keep] for x in (live, u, v, h, h2, h6))
+                k_node, k_half = k_node[:, keep], k_half[:, keep]
+                if not live.size:
+                    break
+                g = _row_values([gs[j] for j in live])
+            u_out[i + 1, live] = u
+    return u_out.T, t_escape
+
+
+def _half_period_steps(modes: int) -> int:
+    """Default RK4 steps of a half-period shot: h <= T/2048, with the
+    nodes aligned to the reconstruction grid of ``modes`` modes."""
+    return math.ceil(_default_steps(0.5, 1.0) / modes) * modes
+
+
+def _reconstruct(u_nodes: np.ndarray, period: float,
                  modes: int) -> OddPeriodicFunction:
     """Odd-reflect a half-period trajectory and sine-analyze it.
 
@@ -178,12 +241,14 @@ def _reconstruct(traj: Trajectory, period: float,
     endpoint consistency and keeps the spectral tail clean.
     """
     P = 2 * modes
-    n_steps = traj.t.size - 1
+    n_steps = u_nodes.size - 1
     if n_steps % modes == 0:
-        half = traj.u[:: n_steps // modes].copy()  # nodes coincide with grid
+        half = u_nodes[:: n_steps // modes].copy()  # nodes coincide with grid
     else:
+        # the nodes of integrate_ivp over [0, T/2]
+        t_nodes = (0.5 * period / n_steps) * np.arange(n_steps + 1)
         t_half = np.arange(modes + 1) * (period / P)
-        half = np.interp(t_half, traj.t, traj.u)
+        half = np.interp(t_half, t_nodes, u_nodes)
     half -= half[-1] * (np.arange(modes + 1) / modes)
     samples = np.empty(P)
     samples[: modes + 1] = half
@@ -225,11 +290,26 @@ def shoot(problem, v0_bracket, tol: float = 1e-11,
         The integration blew up inside the bracket.
     """
     T = problem.period
-    t_half = 0.5 * T
     if steps is None:
-        steps = _default_steps(t_half, T)
-        steps = math.ceil(steps / modes) * modes  # align nodes to the grid
+        steps = _half_period_steps(modes)
     steps = int(steps)
+    a, b = float(v0_bracket[0]), float(v0_bracket[1])
+    v0 = 0.5 * (a + b)
+    traj = integrate_ivp(problem, 0.0, v0, 0.5 * T, steps=steps)
+    if abs(traj.u[-1]) > tol:
+        v0, traj = _shoot_bracket(problem, a, b, float(traj.u[-1]), traj, tol,
+                                  steps)
+    return ShootingResult(v0=v0, boundary_defect=float(traj.u[-1]),
+                          trajectory=traj,
+                          reconstructed=_reconstruct(traj.u, T, modes))
+
+
+def _shoot_bracket(problem, a: float, b: float, fm: float,
+                   traj_m: Trajectory | None, tol: float,
+                   steps: int) -> tuple[float, Trajectory]:
+    """The slope and trajectory :func:`shoot` accepts after the midpoint's
+    shot (u(T/2) = ``fm``, trajectory ``traj_m`` if kept) missed ``tol``."""
+    t_half = 0.5 * problem.period
     traj = None  # trajectory of the slope F was last called with
 
     def F(v0: float) -> float:
@@ -237,29 +317,24 @@ def shoot(problem, v0_bracket, tol: float = 1e-11,
         traj = integrate_ivp(problem, 0.0, v0, t_half, steps=steps)
         return float(traj.u[-1])
 
-    a, b = float(v0_bracket[0]), float(v0_bracket[1])
     m = 0.5 * (a + b)
-    fm = F(m)
-    traj_m = traj
 
     def F_end(v0: float) -> float:
         # an endpoint equal to the midpoint (a == b, or adjacent doubles)
         # reuses the midpoint's shot
         nonlocal traj
-        if v0 != m:
+        if v0 != m or traj_m is None:
             return F(v0)
         traj = traj_m
         return fm
 
     v0 = None
-    if abs(fm) <= tol:
-        v0 = m
-    elif (fa := F_end(a)) == 0.0:
+    if (fa := F_end(a)) == 0.0:
         v0 = a
     elif (fb := F_end(b)) == 0.0:
         v0 = b
     elif fa * fb < 0.0:
-        for _ in range(199):  # 200 midpoints with the one shot above
+        for _ in range(199):  # 200 midpoints with the one shot first
             if fa * fm < 0.0:
                 b, fb = m, fm
             else:
@@ -294,10 +369,7 @@ def shoot(problem, v0_bracket, tol: float = 1e-11,
             raise OracleInconclusiveError(
                 "no sign change on the bracket and the secant iteration "
                 "stagnated; widen the bracket or reseed")
-
-    reconstructed = _reconstruct(traj, T, modes)
-    return ShootingResult(v0=v0, boundary_defect=float(traj.u[-1]),
-                          trajectory=traj, reconstructed=reconstructed)
+    return v0, traj
 
 
 def pointwise_residual(problem, u: OddPeriodicFunction,
@@ -321,6 +393,13 @@ def ode_residual(problem, u: OddPeriodicFunction) -> float:
     return float(np.max(pointwise_residual(problem, u, 4 * u.modes)[1]))
 
 
+def _slope_bracket(u: OddPeriodicFunction) -> tuple[float, float]:
+    """A shooting bracket centred on the candidate's spectral slope u'(0)."""
+    v0_guess = float(differentiate(u, 1)(0.0))
+    delta = 0.5 * (1.0 + abs(v0_guess))
+    return v0_guess - delta, v0_guess + delta
+
+
 def cross_validate(problem, u: OddPeriodicFunction,
                    tol: float = 1e-6) -> CrossValidation:
     """Check a claimed solution against an independent shooting solve.
@@ -329,9 +408,7 @@ def cross_validate(problem, u: OddPeriodicFunction,
     converges to the same branch when the candidate is genuine.  Passes iff
     the sup-norm distance and both equation residuals are <= tol.
     """
-    v0_guess = float(differentiate(u, 1)(0.0))
-    delta = 0.5 * (1.0 + abs(v0_guess))
-    shot = shoot(problem, (v0_guess - delta, v0_guess + delta))
+    shot = shoot(problem, _slope_bracket(u))
     distance = sup_norm(u - shot.reconstructed)
     res_u = ode_residual(problem, u)
     res_o = ode_residual(problem, shot.reconstructed)
@@ -339,3 +416,33 @@ def cross_validate(problem, u: OddPeriodicFunction,
     return CrossValidation(passed=passed, distance=distance,
                            residual_candidate=res_u, residual_oracle=res_o,
                            shooting=shot)
+
+
+def shooting_distances(problems, candidates) -> list[float]:
+    """The ``distance`` of :func:`cross_validate` for each problem and its
+    candidate, bitwise, without the equation residuals; NaN where shooting
+    is inconclusive or blows up.
+
+    The first midpoints of all rows are shot in one vectorized RK4 loop; a
+    row whose midpoint misses goes on as :func:`shoot` does from there.
+    """
+    tol, modes = 1e-11, _RECONSTRUCTION_MODES  # the defaults of shoot
+    steps = _half_period_steps(modes)
+    brackets = [_slope_bracket(u) for u in candidates]
+    u_mid, t_escape = _integrate_rows(
+        problems, [0.0] * len(problems), [0.5 * (a + b) for a, b in brackets],
+        [0.5 * p.period for p in problems], steps)
+    distances = []
+    for problem, u, (a, b), u_m, t_esc in zip(problems, candidates, brackets,
+                                              u_mid, t_escape):
+        fm = float(u_m[-1])
+        try:
+            if not math.isnan(t_esc):
+                raise BlowUpError(t_esc)
+            if abs(fm) > tol:
+                u_m = _shoot_bracket(problem, a, b, fm, None, tol, steps)[1].u
+        except (OracleInconclusiveError, ArithmeticError):
+            distances.append(math.nan)
+            continue
+        distances.append(sup_norm(u - _reconstruct(u_m, problem.period, modes)))
+    return distances

@@ -139,6 +139,14 @@ def _cubic_family(c3: float) -> Nonlinearity:
     return Nonlinearity("cubic", value, derivative, params={"c3": c3})
 
 
+def _row_values(gs) -> Callable:
+    """The function sending row i of an array through ``gs[i].value``: one
+    call for all rows when they share one g, else one call per row."""
+    if all(g is gs[0] for g in gs):
+        return gs[0].value
+    return lambda x: np.array([g.value(row) for g, row in zip(gs, x)])
+
+
 FAMILIES: dict[str, tuple[Callable, tuple[str, ...]]] = {
     "zero": (_zero_family, ()),
     "linear": (_linear_family, ("c",)),
@@ -201,7 +209,17 @@ class Problem:
 
     def _validate_g(self) -> None:
         g = self.g
+        # refused before they overflow downstream: the certificate factor
+        # lambda = sup|g'| * T^2/2, formed as certify forms it, and the probe radius
+        if g.gprime_bound is not None and not math.isfinite(
+                float(g.gprime_bound) * (self.period * self.period / 2.0)):
+            raise ProblemError("bad_derivative_bound",
+                               f"sup|g'| bound {g.gprime_bound} gives a non-finite "
+                               f"lambda = bound * T^2/2 at period {self.period}")
         R = self._probe_radius()
+        if not math.isfinite(R):
+            raise ProblemError("bad_forcing", "the a-priori solution bound "
+                               "(the probe radius) is not finite")
         xs = np.linspace(-R, R, 1000)
         try:
             gx = np.asarray(g.value(xs), dtype=float)

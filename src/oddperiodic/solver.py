@@ -38,8 +38,9 @@ import numpy as np
 from .funcspace import OddPeriodicFunction, _sup_norms, sup_norm
 from .operators import (
     NonFiniteNonlinearityError,
+    _apply_maps,
     _check_period,
-    _coefficient_map,
+    _CoefficientMap,
     inverse_norm_bound,
 )
 from .oracle import ode_residual
@@ -51,6 +52,8 @@ __all__ = [
     "CertificateError",
     "MajorantError",
     "certify",
+    "solve",
+    "solve_many",
     "solve_picard",
     "solve_continuation",
     "apriori_bound",
@@ -157,6 +160,39 @@ def _try_certificate(problem) -> ContractionCertificate | None:
         return None
 
 
+def solve(problem, *, method: str = "auto", tol: float = DEFAULT_TOL,
+          max_iter: int = DEFAULT_MAX_ITER,
+          modes: int = DEFAULT_MODES) -> SolveReport:
+    """Solve one problem: the one-row case of :func:`solve_many`."""
+    (report,) = solve_many([problem], method=method, tol=tol,
+                           max_iter=max_iter, modes=modes)
+    return report
+
+
+def solve_many(problems, *, method: str = "auto", tol: float = DEFAULT_TOL,
+               max_iter: int = DEFAULT_MAX_ITER,
+               modes: int = DEFAULT_MODES) -> list[SolveReport]:
+    """Solve every problem in lockstep; a report is bitwise the one a
+    separate solve of its problem returns.
+
+    ``method`` is ``picard``, ``continuation`` (``max_iter`` caps each
+    stage) or ``auto``: Picard where the contraction certificate holds or
+    g declares no majorant, continuation otherwise.  Each problem's
+    certificate is computed once and carried by its report.
+    """
+    if method not in ("auto", "picard", "continuation"):
+        raise ValueError(f"unknown method {method!r}")
+    rows = []
+    for problem in problems:
+        cert = _try_certificate(problem)
+        if method == "picard" or (method == "auto" and (
+                cert is not None and cert.holds or not problem.majorants)):
+            rows.append(_picard(problem, cert, None, tol, max_iter, modes))
+        else:
+            rows.append(_continuation(problem, cert, tol, max_iter, modes))
+    return _lockstep(rows)
+
+
 def solve_picard(problem, *, initial_guess: OddPeriodicFunction | None = None,
                  tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
                  modes: int = DEFAULT_MODES) -> SolveReport:
@@ -177,6 +213,61 @@ def solve_picard(problem, *, initial_guess: OddPeriodicFunction | None = None,
     modes : int
         Working truncation order (raised to the forcing's order if needed).
     """
+    (report,) = _lockstep([_picard(problem, _try_certificate(problem),
+                                   initial_guess, tol, max_iter, modes)])
+    return report
+
+
+def _lockstep(rows) -> list[SolveReport]:
+    """Run the solve generators ``rows`` together; return their reports.
+
+    A row yields ``(step_map, b)`` and receives step_map(b), or ``(None,
+    pair)`` and receives the sup norms of the pair's two rows.  Every
+    pending request of one kind and size goes into one batched call; a
+    failed map application is thrown back into its row.
+    """
+    reports: list = [None] * len(rows)
+    pending: dict[int, tuple] = {}
+
+    def advance(i: int, reply) -> None:
+        try:
+            if isinstance(reply, Exception):
+                pending[i] = rows[i].throw(reply)
+            else:
+                pending[i] = rows[i].send(reply)
+        except StopIteration as stop:
+            reports[i] = stop.value
+
+    for i in range(len(rows)):
+        advance(i, None)
+    while pending:
+        batches: dict[tuple, list[int]] = {}
+        for i, (step_map, array) in pending.items():
+            batches.setdefault((step_map is None, array.shape[-1]), []).append(i)
+        requests, replies = dict(pending), {}
+        pending.clear()
+        for (norms, _), idx in batches.items():
+            arrays = np.array([requests[i][1] for i in idx])
+            replies.update(zip(idx, _pair_norms(arrays) if norms else
+                               _apply_maps([requests[i][0] for i in idx], arrays)))
+        for i in sorted(replies):
+            advance(i, replies[i])
+    return reports
+
+
+def _pair_norms(pairs: np.ndarray) -> list[tuple[float, float]]:
+    """sup_norm of both rows of every pair, from one transform call.
+
+    A non-finite coefficient raises the ValueError that building its row
+    as a series would raise; no solve loop handles it.
+    """
+    if not np.all(np.isfinite(pairs)):
+        raise ValueError("coeffs must be finite")
+    return [(float(step), float(norm)) for step, norm in _sup_norms(pairs)]
+
+
+def _picard(problem, cert, initial_guess, tol, max_iter, modes):
+    """The Picard solve of :func:`solve_picard` as a row of :func:`_lockstep`."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     N = max(int(modes), problem.k.modes)
@@ -186,24 +277,23 @@ def solve_picard(problem, *, initial_guess: OddPeriodicFunction | None = None,
         u = initial_guess.with_modes(max(N, initial_guess.modes))
         _check_period(problem, u)
 
-    cert = _try_certificate(problem)
     regime = ("certified_contraction" if cert is not None and cert.holds
               else "uncertified_picard")
 
     step_norms: list[float] = []
     max_norm = sup_norm(u)
     b = u.coeffs
-    step_map = _coefficient_map(problem, b.size)
+    step_map = _CoefficientMap(problem, b.size)
     converged = False
     failure = None
     iterations = 0
     for iterations in range(1, max_iter + 1):
         try:
-            b_next = step_map(b)
+            b_next = yield step_map, b
         except NonFiniteNonlinearityError:
             failure = "non_finite"
             break
-        step, norm = _step_and_iterate_norms(np.array((b_next - b, b_next)))
+        step, norm = yield None, np.array((b_next - b, b_next))
         step_norms.append(step)
         b = b_next
         max_norm = max(max_norm, norm)
@@ -230,27 +320,15 @@ def solve_picard(problem, *, initial_guess: OddPeriodicFunction | None = None,
     )
 
 
-def _step_and_iterate_norms(rows: np.ndarray) -> tuple[float, float]:
-    """sup_norm of the step (row 0) and of the new iterate (row 1).
-
-    Both come from one transform call.  A non-finite coefficient raises
-    the ValueError that building either as a series would raise.
-    """
-    if not np.all(np.isfinite(rows)):
-        raise ValueError("coeffs must be finite")
-    step, norm = _sup_norms(rows)
-    return float(step), float(norm)
-
-
 def _damped_picard(step_map, u: OddPeriodicFunction, lam: float, tol: float,
-                   max_iter: int) -> tuple[OddPeriodicFunction, bool,
-                                           list[float], float]:
+                   max_iter: int):
     """Fixed point of u = lam * map(u) by Picard with optional damping.
 
     Damping theta drops from 1 to 0.5 once the iteration oscillates (three
     consecutive direction reversals of the coefficient step).  ``step_map``
-    is the map on u's coefficients (``operators._coefficient_map``).
-    Returns (iterate, converged, step_norms, max_iterate_norm).
+    is the map on u's coefficients, applied through :func:`_lockstep`; an
+    application that meets a non-finite g(u) fails the stage.  Returns
+    (iterate, converged, step_norms, max_iterate_norm, applications).
     """
     theta = 1.0
     prev_step = None
@@ -260,7 +338,11 @@ def _damped_picard(step_map, u: OddPeriodicFunction, lam: float, tol: float,
     b = u.coeffs
     converged = False
     for _ in range(max_iter):
-        target = lam * step_map(b)
+        try:
+            target = lam * (yield step_map, b)
+        except NonFiniteNonlinearityError:
+            # a blown-up stage is a failed stage; its applications count
+            return u, False, step_norms, max_norm, len(step_norms) + 1
         step_vec = target - b
         if prev_step is not None and theta == 1.0:
             if float(np.dot(step_vec, prev_step)) < 0.0:
@@ -271,14 +353,15 @@ def _damped_picard(step_map, u: OddPeriodicFunction, lam: float, tol: float,
                 reversals = 0
         prev_step = step_vec
         b = b + theta * step_vec
-        step_sup, norm = _step_and_iterate_norms(np.array((step_vec, b)))
+        step_sup, norm = yield None, np.array((step_vec, b))
         step = theta * step_sup
         step_norms.append(step)
         max_norm = max(max_norm, norm)
         if step < tol:
             converged = True
             break
-    return OddPeriodicFunction(u.period, b), converged, step_norms, max_norm
+    return (OddPeriodicFunction(u.period, b), converged, step_norms, max_norm,
+            len(step_norms))
 
 
 def solve_continuation(problem, *, lambda_step: float = 0.1,
@@ -292,12 +375,22 @@ def solve_continuation(problem, *, lambda_step: float = 0.1,
     starting each stage from the previous solution and halving the step on
     stage failure.  The step aborting below ``min_lambda_step`` is reported
     as ``failure="step_underflow"`` -- the existence theory guarantees a
-    solution, not that this path reaches it.
+    solution, not that this path reaches it.  ``iterations`` counts every
+    map application, those of failed stages included.
 
     When the declared majorants admit an a-priori bound, every accepted
     stage solution is checked against it; a violation would mean numerical
     breakdown and raises ``RuntimeError``.
     """
+    (report,) = _lockstep([_continuation(
+        problem, _try_certificate(problem), tol, max_iter_per_step, modes,
+        lambda_step, min_lambda_step)])
+    return report
+
+
+def _continuation(problem, cert, tol, max_iter_per_step, modes,
+                  lambda_step=0.1, min_lambda_step=1e-4):
+    """The solve of :func:`solve_continuation` as a row of :func:`_lockstep`."""
     if not (0 < lambda_step <= 1):
         raise ValueError("lambda_step must be in (0, 1]")
     try:
@@ -311,7 +404,7 @@ def solve_continuation(problem, *, lambda_step: float = 0.1,
 
     N = max(int(modes), problem.k.modes)
     u = OddPeriodicFunction.zero(problem.period, N)
-    step_map = _coefficient_map(problem, N)
+    step_map = _CoefficientMap(problem, N)
     lam = 0.0
     path: list[float] = []
     step = float(lambda_step)
@@ -324,13 +417,9 @@ def solve_continuation(problem, *, lambda_step: float = 0.1,
         lam_next = lam + step
         if lam_next >= 1.0 - 1e-12:  # snap the endpoint: accumulation dust
             lam_next = 1.0
-        try:
-            u_trial, ok, hist, stage_max = _damped_picard(
-                step_map, u, lam_next, tol, max_iter_per_step)
-        except NonFiniteNonlinearityError:
-            # a blown-up stage is just a failed stage: retry smaller
-            ok, u_trial, hist, stage_max = False, u, [], max_norm
-        iterations += len(hist)
+        u_trial, ok, hist, stage_max, applied = yield from _damped_picard(
+            step_map, u, lam_next, tol, max_iter_per_step)
+        iterations += applied
         max_norm = max(max_norm, stage_max)
         if ok:
             lam = lam_next
@@ -362,7 +451,7 @@ def solve_continuation(problem, *, lambda_step: float = 0.1,
         lambda_path=path,
         apriori_bound=bound,
         max_iterate_norm=max_norm,
-        certificate=_try_certificate(problem),
+        certificate=cert,
     )
 
 

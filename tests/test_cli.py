@@ -1,6 +1,8 @@
 """End-to-end CLI tests: exit codes, file formats, determinism."""
 
+import contextlib
 import csv
+import io
 import json
 
 import numpy as np
@@ -374,3 +376,53 @@ class TestCompare:
         cfg = write_config(tmp_path, CUBIC)
         res = run_cli("compare", cfg, cwd=tmp_path)
         assert res.returncode == 4
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("override,code", [
+        ({"forcing": [{"mode": 1, "amplitude": 1e308}]}, "bad_forcing"),
+        ({"derivative_bound": 1e308}, "bad_derivative_bound"),
+    ], ids=["amplitude", "derivative_bound"])
+    def test_non_finite_bound_exits_two_without_warnings(
+            self, tmp_path, run_cli, override, code):
+        cfg = write_config(tmp_path, dict(PENDULUM, **override))
+        for argv in (["solve", cfg, "--out", "u.csv"], ["certify", cfg]):
+            res = run_cli(*argv, cwd=tmp_path)
+            assert res.returncode == 2
+            assert read_record(res.stdout)["error"]["code"] == code
+            assert res.stderr == ""
+
+
+def test_sweep_row_takes_one_certificate_and_one_residual(tmp_path,
+                                                          monkeypatch):
+    import oddperiodic
+    import oddperiodic.oracle as oracle
+    import oddperiodic.solver as solver
+    from oddperiodic import cli
+
+    calls = {"certify": 0, "pointwise_residual": 0}
+
+    def counted(home, name):
+        # rebound wherever the name is bound, so every call is seen
+        original = getattr(home, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        for module in (oddperiodic, solver, oracle, cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+
+    counted(solver, "certify")
+    counted(oracle, "pointwise_residual")
+    cfg = write_config(tmp_path, PENDULUM)
+    out = tmp_path / "s.csv"
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        code = cli.main(["sweep", cfg, "--param", "period", "--from", "4",
+                         "--to", "10", "--steps", "6", "--modes", "32",
+                         "--out", str(out)])
+    assert code == 0
+    rows = read_record(stdout.getvalue())["outcome"]["rows"]
+    assert len(rows) == 6 and {r["holds"] for r in rows} == {True, False}
+    assert calls == {"certify": 6, "pointwise_residual": 6}

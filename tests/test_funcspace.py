@@ -18,6 +18,7 @@ from oddperiodic import (
     odd_symmetry_defect,
     sup_norm,
 )
+from oddperiodic.funcspace import _full_grid, _half_grid, _sine_rows
 
 T2PI = 2.0 * np.pi
 
@@ -321,3 +322,34 @@ class TestValueSemantics:
             OddPeriodicFunction(1.0, [np.inf])
         with pytest.raises(ValueError):
             OddPeriodicFunction(1.0, [])
+
+
+class TestBatchedRowsEqualSingleRows:
+    """A batched solve or shot is bitwise a single one only if every
+    transform of many rows equals the same transform row by row; a host
+    whose FFT kernels treat a batch differently fails here."""
+
+    @pytest.mark.parametrize("modes", [64, 1024])
+    def test_grids_and_analysis_of_40_rows(self, modes):
+        rows = np.random.default_rng(modes).uniform(-1.0, 1.0, (40, modes))
+        for P in (4 * modes, 8 * modes):
+            for odd in (True, False):
+                half = _half_grid(rows, P, odd)
+                full = _full_grid(rows, P, odd)
+                for row, h, f in zip(rows, half, full):
+                    assert np.array_equal(h, _half_grid(row, P, odd))
+                    assert np.array_equal(f, _full_grid(row, P, odd))
+        samples = _full_grid(rows, 4 * modes)
+        coeffs = _sine_rows(samples, modes)
+        for s, c in zip(samples, coeffs):
+            assert np.array_equal(c, _sine_rows(s, modes))
+
+    def test_full_grid_mirrors_each_row(self):
+        rows = np.random.default_rng(3).uniform(-1.0, 1.0, (5, 16))
+        P = 64
+        odd, even = _full_grid(rows, P), _full_grid(rows, P, odd=False)
+        assert odd.shape == even.shape == (5, P)
+        assert np.array_equal(odd[:, 1:], -odd[:, :0:-1])
+        assert np.array_equal(even[:, 1:], even[:, :0:-1])
+        for row, o in zip(rows, odd):
+            assert np.array_equal(o, grid_samples(OddPeriodicFunction(T2PI, row), P))

@@ -12,10 +12,12 @@ from oddperiodic import (
     cross_validate,
     grid_samples,
     integrate_ivp,
+    make_problem,
     odd_symmetry_defect,
     ode_residual,
     pointwise_residual,
     shoot,
+    shooting_distances,
     solve_picard,
     sup_norm,
 )
@@ -289,3 +291,68 @@ class TestCrossValidate:
         assert "from .operators" not in src and "from . import operators" not in src
         assert "invert_second_derivative" not in src
         assert "fixed_point_map" not in src and "solve_picard" not in src
+
+
+class TestBatchedShots:
+    """The vectorized RK4 of a sweep's first shots must reproduce the
+    scalar integrator bit for bit, row by row."""
+
+    def test_rows_equal_integrate_ivp_and_a_blow_up_stays_in_its_row(self):
+        pend = builtin("pendulum", {"a": 0.5}, period=T2PI, forcing=[(1, 0.3)])
+        rows = [
+            (pend, 0.2),
+            (make_problem(4.0, pend.g, [(1, 0.3)]), -0.7),  # shares pend's g
+            (builtin("tanh_g", {"s": 1.0}, period=3.0, forcing=[(2, 0.5)]), 1.1),
+            # u'' = u^3 + k escapes in finite time
+            (builtin("cubic", {"c3": -1.0}, period=T2PI, forcing=[(1, 1.0)]), 50.0),
+            (builtin("linear", {"c": 0.01}, period=9.0, forcing=[(1, 1.0)]), 0.0),
+        ]
+        problems = [p for p, _ in rows]
+        t_end = [0.5 * p.period for p in problems]
+        u, t_escape = oracle._integrate_rows(
+            problems, [0.0] * len(rows), [v0 for _, v0 in rows], t_end, 1024)
+        for i, (p, v0) in enumerate(rows):
+            if i == 3:
+                with pytest.raises(BlowUpError) as err:
+                    integrate_ivp(p, 0.0, v0, t_end[i], steps=1024)
+                assert t_escape[i] == err.value.t_escape
+                continue
+            assert np.isnan(t_escape[i])
+            assert np.array_equal(u[i], integrate_ivp(p, 0.0, v0, t_end[i],
+                                                      steps=1024).u)
+        # without the escaping row the others come out the same
+        keep = [0, 1, 2, 4]
+        u_alone, _ = oracle._integrate_rows(
+            [problems[i] for i in keep], [0.0] * 4, [rows[i][1] for i in keep],
+            [t_end[i] for i in keep], 1024)
+        assert np.array_equal(u_alone, u[keep])
+
+    def test_shooting_distances_equal_cross_validate(self, shot_slopes):
+        tanh = builtin("tanh_g", {"s": 1.0}, period=T2PI, forcing=[(1, 0.5)])
+        problems = [make_problem(T, tanh.g, [(1, 0.5)], label="tanh")
+                    for T in (1.0, 2.5, 4.0)]
+        candidates = [solve_picard(p, modes=64).solution for p in problems]
+        # a poor candidate: its midpoint misses and bisection takes over
+        problems.append(problems[1])
+        candidates.append(OddPeriodicFunction(2.5, [0.3]))
+        # a candidate whose first shot escapes
+        cubic = builtin("cubic", {"c3": -1.0}, period=T2PI, forcing=[(1, 1.0)])
+        problems.append(cubic)
+        candidates.append(OddPeriodicFunction(T2PI, [50.0]))
+        distances = shooting_distances(problems, candidates)
+        # only the poor candidate shoots again, one scalar shot at a time,
+        # from the lower end of its bracket
+        assert len(shot_slopes) > 1
+        assert shot_slopes[0] == oracle._slope_bracket(candidates[3])[0]
+        for p, u, d in zip(problems[:-1], candidates, distances):
+            assert d == cross_validate(p, u).distance
+        with pytest.raises(BlowUpError):
+            cross_validate(cubic, candidates[-1])
+        assert np.isnan(distances[-1])
+
+    def test_a_lone_row_that_escapes(self):
+        cubic = builtin("cubic", {"c3": -1.0}, period=T2PI, forcing=[(1, 1.0)])
+        u, t_escape = oracle._integrate_rows([cubic], [0.0], [50.0], [np.pi], 64)
+        with pytest.raises(BlowUpError) as err:
+            integrate_ivp(cubic, 0.0, 50.0, np.pi, steps=64)
+        assert t_escape[0] == err.value.t_escape and np.isnan(u[0, -1])

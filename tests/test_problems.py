@@ -1,6 +1,7 @@
 """Tests for problem construction, validation and config parsing."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -241,3 +242,19 @@ class TestParseProblem:
         with pytest.raises(ProblemError) as e:
             parse_problem(dict(self.PENDULUM, period=period))
         assert e.value.code == "bad_period"
+
+    @pytest.mark.parametrize("override,code", [
+        ({"forcing": [{"mode": 1, "amplitude": 1e308}]}, "bad_forcing"),
+        ({"majorants": [{"eps": 0.0, "M": 1e308}], "family": "cubic",
+          "params": {"c3": 1.0}}, "bad_forcing"),
+        ({"derivative_bound": 1e308}, "bad_derivative_bound"),
+        ({"params": {"a": 1e308}}, "bad_derivative_bound"),
+    ], ids=["amplitude", "majorant", "derivative_bound", "param"])
+    def test_non_finite_bounds_rejected_without_warnings(self, override, code):
+        # a probe radius or a certificate factor that overflows is refused
+        # before any probing, so no RuntimeWarning comes first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ProblemError) as e:
+                parse_problem(dict(self.PENDULUM, **override))
+        assert e.value.code == code

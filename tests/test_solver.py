@@ -6,6 +6,7 @@ import pytest
 from oddperiodic import (
     CertificateError,
     MajorantError,
+    NonFiniteNonlinearityError,
     Nonlinearity,
     OddPeriodicFunction,
     apriori_bound,
@@ -15,11 +16,15 @@ from oddperiodic import (
     fixed_point_map,
     grid_samples,
     make_problem,
+    solve,
     solve_continuation,
+    solve_many,
     solve_picard,
     sup_norm,
     uniqueness_probe,
 )
+from oddperiodic.operators import _apply_maps, _CoefficientMap
+from oddperiodic.problems import FAMILIES, _row_values
 
 T2PI = 2.0 * np.pi
 
@@ -362,3 +367,167 @@ class TestCoefficientLoops:
         assert report.failure == "non_finite"
         assert report.iterations == len(report.step_norms) + 1
         assert np.all(np.isfinite(report.solution.coeffs))
+
+
+FAMILY_ROWS = [
+    # (family, params, forcing, periods straddling T* = sqrt(2 / sup|g'|))
+    ("pendulum", {"a": 0.04}, [(1, 0.05)], (1.0, 12.0)),     # T* = 7.07
+    ("tanh_g", {"s": 1.0}, [(1, 0.5)], (0.5, 6.0)),          # T* = 1.41
+    ("linear", {"c": 0.01}, [(1, 1.0)], (2.0, 20.0)),        # T* = 14.1
+]
+
+
+def assert_same_report(batched, single):
+    assert np.array_equal(batched.solution.coeffs, single.solution.coeffs)
+    assert batched.solution.period == single.solution.period
+    assert batched.iterations == single.iterations
+    assert np.array_equal(batched.step_norms, single.step_norms)
+    assert batched.max_iterate_norm == single.max_iterate_norm
+    assert batched.lambda_path == single.lambda_path
+    assert batched.certificate == single.certificate
+    assert batched.residual == single.residual
+    assert (batched.regime, batched.converged, batched.failure,
+            batched.apriori_bound) == (single.regime, single.converged,
+                                       single.failure, single.apriori_bound)
+
+
+class TestSolveMany:
+    """Rows solved in lockstep must come out bitwise as separate solves."""
+
+    @pytest.mark.parametrize("family,params,forcing,span", FAMILY_ROWS,
+                             ids=[row[0] for row in FAMILY_ROWS])
+    def test_period_sweep_equals_separate_solves(self, family, params,
+                                                 forcing, span):
+        base = builtin(family, params, period=T2PI, forcing=forcing)
+        problems = [make_problem(T, base.g, forcing)
+                    for T in np.linspace(*span, 12)]
+        reports = solve_many(problems, modes=64)
+        regimes = {r.regime for r in reports}
+        assert "certified_contraction" in regimes and len(regimes) > 1
+        for problem, report in zip(problems, reports):
+            assert_same_report(report, solve(problem, modes=64))
+
+    def test_rows_of_different_g_and_size_equal_separate_solves(self):
+        problems = [pendulum(a=a) for a in (0.02, 0.3, 1.0)]
+        # 80 forcing modes put this row in a batch of its own size
+        problems.append(builtin("tanh_g", {"s": 1.0}, period=4.0,
+                                forcing=[(1, 0.5), (80, 0.01)]))
+        problems.append(builtin("cubic", {"c3": 1.0}, period=T2PI,
+                                forcing=[(1, 5.0)]))
+        for method in ("auto", "picard", "continuation"):
+            rows = problems[:-1] if method == "continuation" else problems
+            reports = solve_many(rows, method=method, modes=32, max_iter=400)
+            for problem, report in zip(rows, reports):
+                assert_same_report(report, solve(problem, method=method,
+                                                  modes=32, max_iter=400))
+
+    def test_one_row_is_solve_picard_and_solve_continuation(self):
+        p = builtin("tanh_g", {"s": 1.0}, period=T2PI, forcing=[(1, 0.5)])
+        assert_same_report(solve(p, method="picard", modes=32),
+                           solve_picard(p, modes=32))
+        assert_same_report(solve(p, method="continuation", modes=32),
+                           solve_continuation(p, modes=32,
+                                              max_iter_per_step=10_000))
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError):
+            solve(pendulum(), method="newton")
+
+    def test_g_of_a_batch_equals_per_row_calls(self):
+        x = np.random.default_rng(5).uniform(-30.0, 30.0, (40, 256))
+        gs = [factory(*[0.7] * len(names))
+              for factory, names in FAMILIES.values()]
+        for g in gs:
+            batched = g.value(x)
+            for row, out in zip(x, batched):
+                assert np.array_equal(out, g.value(row))
+        # rows of different g: one call per g, the same values
+        mixed = [gs[i % len(gs)] for i in range(40)]
+        values = _row_values(mixed)(x)
+        for g, row, out in zip(mixed, x, values):
+            assert np.array_equal(out, g.value(row))
+
+    def test_a_failing_row_leaves_the_others_alone(self):
+        good, bad = pendulum(), builtin("cubic", {"c3": 1.0}, period=T2PI,
+                                        forcing=[(1, 1.0)])
+        rows = np.array([np.full(16, 0.1), np.full(16, 1e120)])
+        out = _apply_maps([_CoefficientMap(good, 16), _CoefficientMap(bad, 16)],
+                          rows)
+        assert np.array_equal(out[0], _CoefficientMap(good, 16)(rows[0]))
+        assert isinstance(out[1], NonFiniteNonlinearityError)
+
+
+class TestSolvePolicy:
+    """``solve(method="auto")``: one test per branch of the policy."""
+
+    def test_certified_pendulum_goes_to_picard(self):
+        report = solve(pendulum(), modes=32)
+        assert report.regime == "certified_contraction" and report.converged
+        assert report.lambda_path == [] and report.certificate.holds
+
+    def test_uncertified_tanh_goes_to_continuation(self):
+        p = builtin("tanh_g", {"s": 1.0}, period=T2PI, forcing=[(1, 0.5)])
+        report = solve(p, modes=32)
+        assert report.regime == "continuation" and report.converged
+        assert report.lambda_path[-1] == 1.0
+        assert not report.certificate.holds
+        assert report.apriori_bound == apriori_bound(p)
+
+    def test_linear_beyond_its_majorant_continues_without_bound(self):
+        # eps = c >= 2/T^2: the declared pair admits no a-priori bound, but
+        # a majorant is declared, so continuation runs without one
+        p = builtin("linear", {"c": 0.1}, period=T2PI, forcing=[(1, 1.0)])
+        with pytest.raises(MajorantError):
+            apriori_bound(p)
+        report = solve(p, modes=32)
+        assert report.regime == "continuation" and report.converged
+        assert report.apriori_bound is None
+
+    def test_no_majorant_falls_back_to_picard(self):
+        g = Nonlinearity("linear", lambda x: 0.1 * np.asarray(x),
+                         lambda x: np.full_like(np.asarray(x, dtype=float), 0.1),
+                         gprime_bound=0.1)
+        p = make_problem(T2PI, g, [(1, 1.0)])
+        assert not certify(p).holds
+        with pytest.raises(MajorantError):
+            solve_continuation(p)
+        report = solve(p, modes=32)
+        assert report.regime == "uncertified_picard" and report.converged
+        assert report.certificate == certify(p)
+
+    def test_cubic_without_bound_or_majorant_goes_to_picard(self):
+        p = builtin("cubic", {"c3": 1.0}, period=T2PI, forcing=[(1, 5.0)])
+        report = solve(p, modes=32, max_iter=200)
+        assert report.regime == "uncertified_picard"
+        assert report.certificate is None
+        assert not report.converged
+        assert report.failure in ("max_iter", "non_finite")
+
+    def test_continuation_method_without_majorant_raises(self):
+        p = builtin("cubic", {"c3": 1.0}, period=T2PI, forcing=[(1, 5.0)])
+        with pytest.raises(MajorantError):
+            solve(p, method="continuation", modes=32)
+
+
+def test_blown_up_stages_count_their_map_applications(monkeypatch):
+    import oddperiodic.solver as solver
+
+    # finite everywhere, but beyond the 1e300 cap as soon as |u| > 3
+    g = Nonlinearity("clipped",
+                     lambda x: np.where(np.abs(x) > 3.0, 1e305 * np.sign(x), x),
+                     lambda x: np.where(np.abs(x) > 3.0, 0.0, 1.0),
+                     majorants=((0.0, 1e305),))
+    p = make_problem(T2PI, g, [(1, 5.0)])
+    applied, blown = [], []
+    apply_maps = solver._apply_maps
+
+    def counting(maps, rows):
+        out = apply_maps(maps, rows)
+        applied.append(len(out))
+        blown.extend(o for o in out if isinstance(o, NonFiniteNonlinearityError))
+        return out
+
+    monkeypatch.setattr(solver, "_apply_maps", counting)
+    report = solve_continuation(p, modes=32)
+    assert report.failure == "step_underflow" and blown
+    assert report.iterations == sum(applied)
