@@ -37,7 +37,7 @@ from .oracle import (
     pointwise_residual,
     shooting_distances,
 )
-from .problems import MAX_MODES, ProblemError, make_problem, parse_problem
+from .problems import MAX_MODES, ProblemError, _decode, make_problem, parse_problem
 from .solver import (
     DEFAULT_MAX_ITER,
     DEFAULT_MODES,
@@ -46,9 +46,7 @@ from .solver import (
     MajorantError,
     certify,
     solve,
-    solve_continuation,
     solve_many,
-    solve_picard,
 )
 
 EXIT_OK = 0
@@ -93,13 +91,7 @@ def _fail(code: int, error_code: str, message: str) -> int:
 
 
 def _load(config_path: str):
-    try:
-        text = Path(config_path).read_text()
-    except OSError as exc:
-        raise ProblemError("bad_document", f"cannot read config: {exc}")
-    cfg = json.loads(text) if text.strip() else None
-    if not isinstance(cfg, dict):
-        raise ProblemError("bad_document", "config must be a JSON object")
+    cfg = _decode(Path(config_path).read_bytes())
     return cfg, parse_problem(cfg)
 
 
@@ -169,8 +161,11 @@ def cmd_certify(args) -> int:
 def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     cfg, problem = _load(args.config)
-    report = solve(problem, method=args.method, tol=args.tol,
-                   max_iter=args.max_iter, modes=args.modes)
+    try:
+        report = solve(problem, method=args.method, tol=args.tol,
+                       max_iter=args.max_iter, modes=args.modes)
+    except MajorantError as exc:
+        return _fail(EXIT_INPUT, "no_majorant", str(exc))
     out = Path(args.out)
     _write_solution_csv(out, problem, report.solution)
     options = {"method": args.method, "tol": args.tol,
@@ -183,22 +178,26 @@ def cmd_solve(args) -> int:
 
 
 def _read_solution_csv(path: Path, problem):
+    """The finite u column of a solution CSV on this problem's grid."""
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != CSV_HEADER:
             raise ProblemError("bad_document",
                                f"unexpected CSV header {header!r}")
         rows = [[float(x) for x in row] for row in reader]
-    if len(rows) < 4 or len(rows) % 2:
-        raise ProblemError("bad_document", "need an even number (>= 4) of rows")
+    if len(rows) < 4 or len(rows) % 2 or any(len(row) != 4 for row in rows):
+        raise ProblemError("bad_document",
+                           "need an even number (>= 4) of rows of 4 numbers")
     data = np.asarray(rows)
     P = data.shape[0]
     expected_t = np.arange(P) * (problem.period / P)
-    if np.max(np.abs(data[:, 0] - expected_t)) > 1e-9 * problem.period:
+    if not np.all(np.abs(data[:, 0] - expected_t) <= 1e-9 * problem.period):
         raise ProblemError(
             "bad_document",
             "CSV time column is not the uniform grid j*T/P for this problem")
+    if not np.all(np.isfinite(data[:, 1])):
+        raise ProblemError("bad_document", "CSV u column must be finite")
     return data[:, 1]
 
 
@@ -207,10 +206,8 @@ def cmd_verify(args) -> int:
     cfg, problem = _load(args.config)
     try:
         u_col = _read_solution_csv(Path(args.solution), problem)
-    except (OSError, ValueError) as exc:
-        if isinstance(exc, ProblemError):
-            raise
-        return _fail(EXIT_INPUT, "bad_document", f"cannot read solution file: {exc}")
+    except (OSError, ValueError, csv.Error) as exc:
+        raise ProblemError("bad_document", f"cannot read solution file: {exc}") from None
     options = {"tol": args.tol, "solution": args.solution}
     try:
         u = from_samples(u_col, problem.period)
@@ -310,16 +307,15 @@ def cmd_compare(args) -> int:
     results: dict[str, dict] = {}
     solutions = {}
 
-    picard = solve_picard(problem, tol=args.tol, max_iter=args.max_iter,
-                          modes=args.modes)
+    picard = solve(problem, method="picard", tol=args.tol,
+                   max_iter=args.max_iter, modes=args.modes)
     results["picard"] = _report_outcome(picard)
     if picard.converged:
         solutions["picard"] = picard.solution
 
     try:
-        continuation = solve_continuation(problem, tol=args.tol,
-                                          max_iter_per_step=args.max_iter,
-                                          modes=args.modes)
+        continuation = solve(problem, method="continuation", tol=args.tol,
+                             max_iter=args.max_iter, modes=args.modes)
         results["continuation"] = _report_outcome(continuation)
         if continuation.converged:
             solutions["continuation"] = continuation.solution
@@ -421,7 +417,7 @@ def main(argv=None) -> int:
         return args.handler(args)
     except ProblemError as exc:
         return _fail(EXIT_INPUT, exc.code, str(exc))
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         return _fail(EXIT_INPUT, "bad_document", str(exc))
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -56,6 +56,40 @@ class ProblemError(ValueError):
     def __init__(self, code: str, message: str):
         self.code = code
         super().__init__(message)
+
+
+def _shown(value) -> str:
+    """``value`` for an error message: its repr, or its type where the repr
+    fails (an int over the interpreter's digit limit, alone or nested)."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__}>"
+
+
+def _number(value, code: str, what: str) -> float:
+    """``value`` as a finite float; ProblemError(code) naming ``what`` if not."""
+    try:
+        number = float(value)
+    except OverflowError:  # an integer whose repr would swamp the message
+        raise ProblemError(code, f"{what} is too large for a float") from None
+    except (TypeError, ValueError):
+        raise ProblemError(code, f"{what} must be a number, got {_shown(value)}") from None
+    if not math.isfinite(number):
+        raise ProblemError(code, f"{what} must be finite")
+    return number
+
+
+def _period(value) -> float:
+    """``value`` as a period T whose T^2 and 2/T^2 are finite and positive:
+    the certificate threshold 2/T^2 and the bound T^2/2 are formed from it."""
+    period = _number(value, "bad_period", "period")
+    square = period * period
+    if not (period > 0.0 and 0.0 < square < math.inf and 2.0 / square < math.inf):
+        raise ProblemError(
+            "bad_period",
+            f"period must be positive with finite T^2 and 2/T^2, got {period}")
+    return period
 
 
 @dataclass(frozen=True)
@@ -90,7 +124,6 @@ def _zero_family() -> Nonlinearity:
 
 
 def _linear_family(c: float) -> Nonlinearity:
-    c = float(c)
     return Nonlinearity(
         "linear",
         lambda x: c * np.asarray(x, dtype=float),
@@ -102,7 +135,6 @@ def _linear_family(c: float) -> Nonlinearity:
 
 
 def _pendulum_family(a: float) -> Nonlinearity:
-    a = float(a)
     return Nonlinearity(
         "pendulum",
         lambda x: a * np.sin(x),
@@ -114,11 +146,16 @@ def _pendulum_family(a: float) -> Nonlinearity:
 
 
 def _tanh_family(s: float) -> Nonlinearity:
-    s = float(s)
+    def derivative(x):
+        # s*sech(x)^2 with sech(x)^2 = 4e/(1+e)^2 <= 1 from e = exp(-2|x|) <= 1,
+        # so no step can overflow
+        e = np.exp(-2.0 * np.abs(x))
+        return s * (4.0 * e / (1.0 + e) ** 2)
+
     return Nonlinearity(
         "tanh_g",
         lambda x: s * np.tanh(x),
-        lambda x: s / np.cosh(x) ** 2,
+        derivative,
         gprime_bound=abs(s),
         majorants=((0.0, abs(s)),),
         params={"s": s},
@@ -126,8 +163,6 @@ def _tanh_family(s: float) -> Nonlinearity:
 
 
 def _cubic_family(c3: float) -> Nonlinearity:
-    c3 = float(c3)
-
     def value(x):
         x = np.asarray(x, dtype=float)
         return c3 * x * x * x  # x*x*x (not x**3): exactly sign-symmetric
@@ -168,13 +203,7 @@ class Problem:
 
     def __init__(self, period: float, g: Nonlinearity, k: OddPeriodicFunction,
                  label: str = ""):
-        period = float(period)
-        square = period * period
-        # the certificate threshold 2/T^2 and the bound T^2/2 must be finite
-        if not (period > 0.0 and 0.0 < square < math.inf and 2.0 / square < math.inf):
-            raise ProblemError(
-                "bad_period",
-                f"period must be positive with finite T^2 and 2/T^2, got {period}")
+        period = _period(period)
         if not isinstance(g, Nonlinearity):
             raise ProblemError("bad_params", "g must be a Nonlinearity")
         if not isinstance(k, OddPeriodicFunction):
@@ -207,20 +236,25 @@ class Problem:
             scale = 0.0
         return 10.0 * (1.0 + scale)
 
+    # every non-finite probe value is refused below, by a check that says
+    # so; numpy's floating-point warnings would only repeat it
+    @np.errstate(all="ignore")
     def _validate_g(self) -> None:
         g = self.g
-        # refused before they overflow downstream: the certificate factor
-        # lambda = sup|g'| * T^2/2, formed as certify forms it, and the probe radius
-        if g.gprime_bound is not None and not math.isfinite(
-                float(g.gprime_bound) * (self.period * self.period / 2.0)):
+        # refused before they overflow downstream: a negative bound or a
+        # certificate factor lambda = sup|g'| * T^2/2 (formed as certify forms
+        # it) that is not finite, and a probe radius that is not finite
+        if g.gprime_bound is not None and not 0.0 <= float(
+                g.gprime_bound) * (self.period * self.period / 2.0) < math.inf:
             raise ProblemError("bad_derivative_bound",
-                               f"sup|g'| bound {g.gprime_bound} gives a non-finite "
-                               f"lambda = bound * T^2/2 at period {self.period}")
+                               f"sup|g'| bound {g.gprime_bound} must be >= 0 and give a "
+                               f"finite lambda = bound * T^2/2 at period {self.period}")
         R = self._probe_radius()
-        if not math.isfinite(R):
+        if not math.isfinite(2.0 * R):  # the width of the probe grid
             raise ProblemError("bad_forcing", "the a-priori solution bound "
                                "(the probe radius) is not finite")
         xs = np.linspace(-R, R, 1000)
+        xs = 0.5 * (xs - xs[::-1])  # exactly symmetric: xs[j] == -xs[-1 - j]
         try:
             gx = np.asarray(g.value(xs), dtype=float)
             gpx = np.asarray(g.derivative(xs), dtype=float)
@@ -261,34 +295,25 @@ class Problem:
 
 def _forcing_series(forcing, period: float) -> OddPeriodicFunction:
     """Realize [(mode, amplitude), ...] pairs as a sine series."""
-    pairs = list(forcing)
-    seen = set()
-    max_mode = 1
-    for mode, amp in pairs:
+    amplitudes = {}
+    for mode, amp in forcing:
         if not (isinstance(mode, (int, np.integer)) and not isinstance(mode, bool)):
-            raise ProblemError("bad_mode", f"forcing mode must be an integer, got {mode!r}")
+            raise ProblemError(
+                "bad_mode", f"forcing mode must be an integer, got {_shown(mode)}")
         if mode < 1:
             raise ProblemError(
                 "bad_mode",
-                f"forcing mode {mode} rejected: mode 0 or below would break "
+                f"forcing mode {_shown(mode)} rejected: mode 0 or below would break "
                 "oddness/mean-zero")
         if mode > MAX_MODES:
             raise ProblemError(
-                "bad_mode", f"forcing mode {mode} is above the ceiling {MAX_MODES}")
-        if mode in seen:
+                "bad_mode", f"forcing mode {_shown(mode)} is above the ceiling {MAX_MODES}")
+        if mode in amplitudes:
             raise ProblemError("bad_forcing", f"duplicate forcing mode {mode}")
-        seen.add(mode)
-        try:
-            amp = float(amp)
-        except (TypeError, ValueError, OverflowError):
-            raise ProblemError(
-                "bad_forcing", f"amplitude for mode {mode} must be a number, got {amp!r}")
-        if not math.isfinite(amp):
-            raise ProblemError("bad_forcing", f"non-finite amplitude for mode {mode}")
-        max_mode = max(max_mode, int(mode))
-    coeffs = np.zeros(max_mode)
-    for mode, amp in pairs:
-        coeffs[int(mode) - 1] = float(amp)
+        amplitudes[mode] = _number(amp, "bad_forcing", f"amplitude for mode {mode}")
+    coeffs = np.zeros(max(amplitudes, default=1))
+    for mode, amp in amplitudes.items():
+        coeffs[mode - 1] = amp
     return OddPeriodicFunction(period, coeffs)
 
 
@@ -299,14 +324,32 @@ def make_problem(period: float, g: Nonlinearity, forcing,
     ``forcing`` is either a sequence of (mode, amplitude) pairs or an
     already-constructed OddPeriodicFunction with the right period.
     """
-    period = float(period)
-    if not math.isfinite(period) or period <= 0.0:
-        raise ProblemError("bad_period", f"period must be positive, got {period}")
+    period = _period(period)
     if isinstance(forcing, OddPeriodicFunction):
         k = forcing
     else:
         k = _forcing_series(forcing, period)
     return Problem(period, g, k, label=label)
+
+
+def _nonlinearity(family, params) -> Nonlinearity:
+    """The built-in ``family`` with ``params``, exactly its parameter names."""
+    if not isinstance(family, str) or family not in FAMILIES:
+        raise ProblemError(
+            "unknown_family",
+            f"unknown family {_shown(family)}; choose from {sorted(FAMILIES)}")
+    factory, names = FAMILIES[family]
+    if params is None:
+        params = {}
+    if not isinstance(params, Mapping):
+        raise ProblemError("bad_params", f"params must be an object, got {_shown(params)}")
+    if set(params) != set(names):
+        raise ProblemError(
+            "bad_params",
+            f"family {family!r} takes exactly params {list(names)}, "
+            f"got {_shown(sorted(params, key=_shown))}")
+    return factory(**{key: _number(val, "bad_params", f"param {key}")
+                      for key, val in params.items()})
 
 
 def builtin(family: str, params: dict | None = None, *, period: float,
@@ -324,33 +367,32 @@ def builtin(family: str, params: dict | None = None, *, period: float,
     forcing : sequence of (mode, amplitude) pairs
         The sine series of k.
     """
-    if family not in FAMILIES:
-        raise ProblemError(
-            "unknown_family",
-            f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
-    factory, names = FAMILIES[family]
-    if params is None:
-        params = {}
-    if not isinstance(params, Mapping):
-        raise ProblemError("bad_params", f"params must be an object, got {params!r}")
-    if set(params) != set(names):
-        raise ProblemError(
-            "bad_params",
-            f"family {family!r} takes exactly params {list(names)}, got {sorted(params)}")
-    values = {}
-    for key, val in params.items():
-        try:
-            values[key] = float(val)
-        except (TypeError, ValueError, OverflowError):
-            raise ProblemError("bad_params", f"param {key} must be a number, got {val!r}")
-        if not math.isfinite(values[key]):
-            raise ProblemError("bad_params", f"param {key} must be finite")
-    g = factory(**values)
-    return make_problem(period, g, forcing, label=label or family)
+    return make_problem(period, _nonlinearity(family, params), forcing,
+                        label=label)
 
 
 _CONFIG_KEYS = {"family", "params", "period", "forcing",
                 "derivative_bound", "majorants", "label"}
+
+
+def _decode(text):
+    """The JSON document ``text``; ProblemError("bad_document") if it is none."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ProblemError("bad_document", f"config is not valid JSON: {exc}") from None
+
+
+def _entries(cfg: dict, key: str, fields: tuple[str, ...], code: str) -> list:
+    """``cfg[key]``, an array of objects with exactly ``fields``, as tuples."""
+    entries = cfg.get(key, [])
+    if not isinstance(entries, list):
+        raise ProblemError(code, f"{key} must be an array")
+    for entry in entries:
+        if not isinstance(entry, dict) or set(entry) != set(fields):
+            raise ProblemError(
+                code, f"each {key} entry must be {{{', '.join(fields)}}}, got {_shown(entry)}")
+    return [tuple(entry[name] for name in fields) for entry in entries]
 
 
 def parse_problem(config) -> Problem:
@@ -359,82 +401,41 @@ def parse_problem(config) -> Problem:
     The document is a flat object with keys ``family``, ``params``,
     ``period``, ``forcing`` (array of {"mode", "amplitude"}), and optional
     ``derivative_bound`` (overrides the family default), ``majorants``
-    (array of {"eps", "M"}, appended to the family defaults) and ``label``.
-    Unknown keys are rejected.
+    (array of {"eps", "M"}, appended to the family defaults) and ``label``
+    (a string).  Unknown keys are rejected.  Every malformed field raises
+    ProblemError with a machine-readable code, as does a document that is
+    not such an object.  The overrides are applied to g before the one
+    Problem is built, so a config is validated once.
+
+    Fields are checked in this order, and the first failure is raised: the
+    document and its keys, ``period``, the shape of ``forcing``, ``family``
+    and ``params``, the forcing modes and amplitudes, ``derivative_bound``,
+    ``majorants``, ``label``, then g on the probe grid.
     """
-    if isinstance(config, (str, bytes)):
-        try:
-            cfg = json.loads(config)
-        except json.JSONDecodeError as exc:
-            raise ProblemError("bad_document", f"config is not valid JSON: {exc}")
-    else:
-        cfg = config
+    cfg = _decode(config) if isinstance(config, (str, bytes)) else config
     if not isinstance(cfg, dict):
         raise ProblemError("bad_document", "config must be a JSON object")
     unknown = set(cfg) - _CONFIG_KEYS
     if unknown:
-        raise ProblemError("unknown_key", f"unknown config keys: {sorted(unknown)}")
+        raise ProblemError(
+            "unknown_key", f"unknown config keys: {_shown(sorted(unknown, key=_shown))}")
     for key in ("family", "period"):
         if key not in cfg:
             raise ProblemError("missing_key", f"config is missing {key!r}")
-    family = cfg["family"]
-    if family not in FAMILIES:
-        raise ProblemError(
-            "unknown_family",
-            f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
-    try:
-        period = float(cfg["period"])
-    except (TypeError, ValueError):
-        raise ProblemError("bad_period", f"period must be a number, got {cfg['period']!r}")
-
-    forcing_cfg = cfg.get("forcing", [])
-    if not isinstance(forcing_cfg, list):
-        raise ProblemError("bad_forcing", "forcing must be an array")
-    pairs = []
-    for entry in forcing_cfg:
-        if not isinstance(entry, dict) or set(entry) != {"mode", "amplitude"}:
-            raise ProblemError(
-                "bad_forcing",
-                f"each forcing entry must be {{mode, amplitude}}, got {entry!r}")
-        mode = entry["mode"]
-        if not isinstance(mode, int) or isinstance(mode, bool):
-            raise ProblemError("bad_mode", f"forcing mode must be an integer, got {mode!r}")
-        pairs.append((mode, entry["amplitude"]))
-
-    problem = builtin(family, cfg.get("params"), period=period, forcing=pairs,
-                      label=cfg.get("label", ""))
-
-    g = problem.g
-    override = False
-    bound = g.gprime_bound
-    majorants = g.majorants
+    period = _period(cfg["period"])
+    forcing = _entries(cfg, "forcing", ("mode", "amplitude"), "bad_forcing")
+    g = _nonlinearity(cfg["family"], cfg.get("params"))
+    k = _forcing_series(forcing, period)
     if "derivative_bound" in cfg:
-        try:
-            bound = float(cfg["derivative_bound"])
-        except (TypeError, ValueError):
-            raise ProblemError("bad_derivative_bound", "derivative_bound must be a number")
-        if not math.isfinite(bound) or bound < 0:
-            raise ProblemError("bad_derivative_bound",
-                               f"derivative_bound must be >= 0, got {bound}")
-        override = True
+        g = replace(g, gprime_bound=_number(
+            cfg["derivative_bound"], "bad_derivative_bound", "derivative_bound"))
     if "majorants" in cfg:
-        if not isinstance(cfg["majorants"], list):
-            raise ProblemError("bad_majorant", "majorants must be an array")
-        extra = []
-        for entry in cfg["majorants"]:
-            if not isinstance(entry, dict) or set(entry) != {"eps", "M"}:
-                raise ProblemError(
-                    "bad_majorant",
-                    f"each majorant must be {{eps, M}}, got {entry!r}")
-            try:
-                extra.append((float(entry["eps"]), float(entry["M"])))
-            except (TypeError, ValueError):
-                raise ProblemError("bad_majorant", f"non-numeric majorant {entry!r}")
-        majorants = majorants + tuple(extra)
-        override = True
-    if override:
-        g2 = Nonlinearity(g.name, g.value, g.derivative, gprime_bound=bound,
-                          majorants=majorants, params=g.params)
-        # declared overrides are re-validated from scratch
-        problem = Problem(period, g2, problem.k, label=problem.label)
-    return problem
+        extra = tuple((_number(eps, "bad_majorant", "majorant eps"),
+                       _number(M, "bad_majorant", "majorant M"))
+                      for eps, M in _entries(cfg, "majorants", ("eps", "M"),
+                                             "bad_majorant"))
+        g = replace(g, majorants=g.majorants + extra)
+    label = cfg.get("label", "")
+    if not isinstance(label, str):
+        raise ProblemError("bad_document", f"label must be a string, got {_shown(label)}")
+    return Problem(period, g, k, label=label)

@@ -198,6 +198,13 @@ class TestSolve:
         assert outcome["verdict"] == "oracle_blowup"
         assert outcome["residual"] is None
 
+    def test_continuation_without_majorant_exits_two(self, tmp_path, run_cli):
+        cfg = write_config(tmp_path, CUBIC)
+        res = run_cli("solve", cfg, "--method", "continuation",
+                      "--out", "c.csv", cwd=tmp_path)
+        assert res.returncode == 2 and res.stderr == ""
+        assert read_record(res.stdout)["error"]["code"] == "no_majorant"
+
     def test_modes_flag_sets_grid_size(self, tmp_path, run_cli):
         cfg = write_config(tmp_path, ZERO)
         res = run_cli("solve", cfg, "--modes", "64", "--out", "m.csv",
@@ -279,6 +286,58 @@ class TestVerify:
         cfg = write_config(tmp_path, PENDULUM)
         res = run_cli("verify", cfg, "missing.csv", cwd=tmp_path)
         assert res.returncode == 2
+
+
+def _solution_csv(edit=lambda rows: rows) -> str:
+    """The closed-form solution u = -sin t of the ZERO config on 8 points,
+    with ``edit`` applied to its rows of cells."""
+    t = np.arange(8) * (T2PI / 8)
+    rows = [[repr(float(tj)), repr(float(-np.sin(tj))),
+             repr(float(-np.cos(tj))), "0.0"] for tj in t]
+    lines = [["t", "u", "u_prime", "residual_pointwise"]] + edit(rows)
+    return "".join(",".join(row) + "\n" for row in lines)
+
+
+def _set_u(value):
+    def edit(rows):
+        rows[3][1] = value
+        return rows
+    return edit
+
+
+# name -> (config text, solution CSV text or None for certify, exit code)
+INPUT_FILES = {
+    "config_integer_over_4300_digits": (
+        '{"family": "zero", "params": {}, "period": ' + "1" * 5000
+        + ', "forcing": []}', None, 2),
+    "config_not_utf8": ('{"label": "\udcff"}', None, 2),
+    "csv_empty": (json.dumps(ZERO), "", 2),
+    "csv_nan_u": (json.dumps(ZERO), _solution_csv(_set_u("nan")), 2),
+    "csv_infinite_u": (json.dumps(ZERO), _solution_csv(_set_u("1e999")), 2),
+    "csv_one_cell_rows": (
+        json.dumps(ZERO), _solution_csv(lambda rows: [r[:1] for r in rows]), 2),
+    "csv_three_cell_rows": (
+        json.dumps(ZERO), _solution_csv(lambda rows: [r[:3] for r in rows]), 2),
+    "csv_finite_spike": (
+        json.dumps(ZERO), _solution_csv(_set_u("0.25")), 5),
+    "csv_intact": (json.dumps(ZERO), _solution_csv(), 0),
+}
+
+
+@pytest.mark.parametrize("name", list(INPUT_FILES))
+def test_input_file_exit_code(tmp_path, run_cli, name):
+    config_text, solution_text, expected = INPUT_FILES[name]
+    cfg = tmp_path / "problem.json"
+    cfg.write_bytes(config_text.encode("utf-8", "surrogateescape"))
+    if solution_text is None:
+        res = run_cli("certify", str(cfg), cwd=tmp_path)
+    else:
+        (tmp_path / "u.csv").write_text(solution_text)
+        res = run_cli("verify", str(cfg), "u.csv", cwd=tmp_path)
+    assert res.returncode == expected and res.stderr == ""
+    record = read_record(res.stdout)
+    if expected == 2:
+        assert record["error"]["code"] == "bad_document"
 
 
 class TestSweep:
@@ -426,3 +485,21 @@ def test_sweep_row_takes_one_certificate_and_one_residual(tmp_path,
     rows = read_record(stdout.getvalue())["outcome"]["rows"]
     assert len(rows) == 6 and {r["holds"] for r in rows} == {True, False}
     assert calls == {"certify": 6, "pointwise_residual": 6}
+
+
+def test_param_sweep_validates_each_row_once(tmp_path, monkeypatch):
+    from oddperiodic import Problem, cli
+
+    calls = []
+    original = Problem._validate_g
+    monkeypatch.setattr(Problem, "_validate_g",
+                        lambda self: calls.append(self.g.params) or original(self))
+    cfg = write_config(tmp_path, dict(PENDULUM, derivative_bound=0.2,
+                                      majorants=[{"eps": 0.0, "M": 0.2}]))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["sweep", cfg, "--param", "a", "--from", "0.04",
+                         "--to", "0.06", "--steps", "3", "--modes", "32",
+                         "--out", str(tmp_path / "s.csv")])
+    assert code == 0
+    # the base config once, then one pass per row
+    assert calls == [{"a": 0.04}, {"a": 0.04}, {"a": 0.05}, {"a": 0.06}]

@@ -1,11 +1,16 @@
 """Tests for problem construction, validation and config parsing."""
 
+import contextlib
+import io
 import json
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from oddperiodic import cli, problems
 from oddperiodic import (
     MAX_MODES,
     MajorantError,
@@ -258,3 +263,214 @@ class TestParseProblem:
             with pytest.raises(ProblemError) as e:
                 parse_problem(dict(self.PENDULUM, **override))
         assert e.value.code == code
+
+    @pytest.mark.parametrize("override,code", [
+        ({"period": 10 ** 400}, "bad_period"),
+        ({"derivative_bound": 10 ** 400}, "bad_derivative_bound"),
+        ({"majorants": [{"eps": 0.0, "M": 10 ** 400}]}, "bad_majorant"),
+        ({"majorants": [{"eps": 10 ** 400, "M": 0.0}]}, "bad_majorant"),
+    ], ids=["period", "derivative_bound", "majorant_M", "majorant_eps"])
+    def test_huge_integer_in_any_number_field_rejected(self, override, code):
+        with pytest.raises(ProblemError) as e:
+            parse_problem(dict(self.PENDULUM, **override))
+        assert e.value.code == code
+
+    @pytest.mark.parametrize("family", [["pendulum"], {"a": 1}, 7])
+    def test_non_string_family_rejected(self, family):
+        with pytest.raises(ProblemError) as e:
+            parse_problem(dict(self.PENDULUM, family=family))
+        assert e.value.code == "unknown_family"
+
+    def test_non_string_label_rejected(self):
+        with pytest.raises(ProblemError) as e:
+            parse_problem(dict(self.PENDULUM, label=5))
+        assert e.value.code == "bad_document"
+
+    # an int over the interpreter's 4300-digit limit has no repr, so an error
+    # message naming it must not try to print it
+    HUGE = 10 ** 5000
+
+    @pytest.mark.parametrize("override,code", [
+        ({"family": HUGE}, "unknown_family"),
+        ({"family": [HUGE]}, "unknown_family"),
+        ({"params": [HUGE]}, "bad_params"),
+        ({"params": {"a": [HUGE]}}, "bad_params"),
+        ({"params": {HUGE: 1.0, "a": 0.04}}, "bad_params"),
+        ({"forcing": [{"mode": 1, "amplitude": [HUGE]}]}, "bad_forcing"),
+        ({"forcing": [{"mode": [HUGE], "amplitude": 1.0}]}, "bad_mode"),
+        ({"forcing": [{"mode": HUGE, "amplitude": 1.0}]}, "bad_mode"),
+        ({"forcing": [{"mode": -HUGE, "amplitude": 1.0}]}, "bad_mode"),
+        ({"forcing": [HUGE]}, "bad_forcing"),
+        ({"majorants": [{"eps": [HUGE], "M": 1.0}]}, "bad_majorant"),
+        ({"label": HUGE}, "bad_document"),
+        ({HUGE: 1}, "unknown_key"),
+        ({1: 1, "flavor": 2}, "unknown_key"),
+    ])
+    def test_unprintable_value_rejected(self, override, code):
+        with pytest.raises(ProblemError) as e:
+            parse_problem({**self.PENDULUM, **override})
+        assert e.value.code == code
+        assert "0" * 100 not in str(e.value)
+
+    # with two faults, the one checked first is reported: period, forcing
+    # entry shapes, family and params, modes and amplitudes, then overrides
+    @pytest.mark.parametrize("override,code", [
+        ({"period": "x", "params": {"b": 1.0}}, "bad_period"),
+        ({"period": -1.0, "family": "nope"}, "bad_period"),
+        ({"forcing": [{"mode": 1}], "params": {"b": 1.0}}, "bad_forcing"),
+        ({"forcing": [{"mode": 1}], "derivative_bound": "x"}, "bad_forcing"),
+        ({"forcing": [{"mode": 0, "amplitude": 1.0}], "derivative_bound": "x"},
+         "bad_mode"),
+        ({"params": {"a": "x"}, "forcing": [{"mode": "1", "amplitude": 1.0}]},
+         "bad_params"),
+        ({"derivative_bound": "x", "majorants": 5}, "bad_derivative_bound"),
+        ({"majorants": 5, "label": 5}, "bad_majorant"),
+        ({"label": 5, "derivative_bound": -1.0}, "bad_document"),
+    ])
+    def test_first_fault_in_check_order_is_reported(self, override, code):
+        with pytest.raises(ProblemError) as e:
+            parse_problem(dict(self.PENDULUM, **override))
+        assert e.value.code == code
+
+    def test_tanh_probe_raises_no_warning(self):
+        # s = 2 at T = 2*pi probes out to |x| ~ 503, where cosh(x)^2 overflows
+        cfg = {"family": "tanh_g", "params": {"s": 2.0}, "period": T2PI,
+               "forcing": [{"mode": 1, "amplitude": 0.5}]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = parse_problem(cfg)
+        x = np.array([-1e4, -710.0, -20.0, -1.0, 0.0, 0.5, 20.0, 710.0, 1e4])
+        # underflow to 0 is exact enough here and numpy ignores it by default
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            derivative = p.g.derivative(x)
+            big = builtin("tanh_g", {"s": 1e308}, period=1e-3,
+                          forcing=[(1, 1.0)]).g.derivative(x)
+        inner = x[2:-2]
+        np.testing.assert_allclose(derivative[2:-2], 2.0 / np.cosh(inner) ** 2,
+                                   rtol=1e-14)
+        assert derivative[4] == 2.0 and big[4] == 1e308
+        assert np.all(derivative[[0, 1, -2, -1]] < 1e-300)
+        assert np.all(np.isfinite(big))
+
+    def test_odd_family_passes_probe_far_from_origin(self):
+        # probed on [-8680, 8680], where an asymmetric grid gave sin a
+        # defect of 2e-11 > tol, rejecting an exactly odd g
+        cfg = {"family": "pendulum", "params": {"a": -7.820295334188421},
+               "period": 14.886447569695013,
+               "forcing": [{"mode": 1, "amplitude": 0.0}]}
+        assert parse_problem(cfg).g.name == "pendulum"
+
+
+def count_validations(monkeypatch) -> dict:
+    """Count every Problem._validate_g call from here on."""
+    calls = {"validate_g": 0}
+    original = Problem._validate_g
+
+    def counted(self):
+        calls["validate_g"] += 1
+        return original(self)
+
+    monkeypatch.setattr(Problem, "_validate_g", counted)
+    return calls
+
+
+@pytest.mark.parametrize("override", [
+    {},
+    {"derivative_bound": 0.05},
+    {"derivative_bound": 0.05, "majorants": [{"eps": 0.0, "M": 0.04}]},
+], ids=["plain", "derivative_bound", "both_overrides"])
+def test_one_validation_pass_per_config(monkeypatch, override):
+    calls = count_validations(monkeypatch)
+    p = parse_problem(dict(TestParseProblem.PENDULUM, **override))
+    assert calls == {"validate_g": 1}
+    assert p.gprime_bound == override.get("derivative_bound", 0.04)
+    assert len(p.majorants) == 1 + len(override.get("majorants", []))
+
+
+# --- the input contract, fuzzed -------------------------------------------
+# Every JSON-shaped config ends in a Problem or a ProblemError, never in
+# another exception or a warning; `certify` on its file agrees (exit 2 with
+# the same error code, or a record).
+
+FUZZ_MAX_MODES = 8
+
+def _mostly(good, other):
+    """``good`` three draws in four, else ``other``."""
+    return st.integers(0, 3).flatmap(lambda i: good if i else other)
+
+
+_huge_ints = (st.integers(min_value=10 ** 300, max_value=10 ** 1000)
+              | st.integers(min_value=-10 ** 1000, max_value=-10 ** 300))
+_extreme_floats = (st.floats(1e250, 1.7976931348623157e308)
+                   | st.floats(5e-324, 1e-250)).flatmap(
+    lambda x: st.sampled_from([x, -x]))
+_finite = st.floats(-10.0, 10.0) | _extreme_floats | st.integers(-3, 3)
+_numbers = _finite | st.floats() | _huge_ints | st.booleans()
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | _huge_ints
+    | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+
+@st.composite
+def _configs(draw):
+    """A well-formed config with numbers from anywhere on the float line,
+    then at most one key removed or set to an arbitrary JSON value."""
+    families = problems.FAMILIES
+    family = draw(st.sampled_from(sorted(families)))
+    value = _mostly(_finite, _numbers)
+    cfg = {
+        "family": family,
+        "params": {name: draw(value) for name in families[family][1]},
+        "period": draw(_mostly(st.floats(1e-3, 20.0), _numbers)),
+        "forcing": draw(st.lists(st.fixed_dictionaries({
+            "mode": _mostly(st.integers(-1, FUZZ_MAX_MODES + 1), _numbers),
+            "amplitude": _mostly(st.floats(-10.0, 10.0), _numbers)}),
+            max_size=3)),
+    }
+    if draw(st.booleans()):
+        cfg["derivative_bound"] = draw(value)
+    if draw(st.booleans()):
+        cfg["majorants"] = draw(st.lists(st.fixed_dictionaries(
+            {"eps": value, "M": value}), max_size=2))
+    if draw(st.booleans()):
+        cfg["label"] = draw(st.text(max_size=4))
+    key = draw(st.none() | st.sampled_from(
+        sorted(problems._CONFIG_KEYS) + ["flavor"]))
+    if key in cfg and draw(st.booleans()):
+        del cfg[key]
+    elif key is not None:
+        cfg[key] = draw(_json_values)
+    return cfg
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=_mostly(_configs(), _json_values))
+# g, and a majorant's M + eps*|x|, overflowing on the probe grid
+@example(cfg={"family": "cubic", "params": {"c3": 1e306}, "period": 6.0,
+              "forcing": []})
+@example(cfg={"family": "pendulum", "params": {"a": 0.04}, "period": 1e-3,
+              "forcing": [], "majorants": [{"eps": 1e308, "M": 0.0}]})
+def test_fuzzed_config_is_a_problem_or_a_problem_error(cfg, tmp_path,
+                                                       monkeypatch):
+    monkeypatch.setattr(problems, "MAX_MODES", FUZZ_MAX_MODES)
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            parse_problem(cfg)
+            code = None
+        except ProblemError as exc:
+            code = exc.code
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            exit_code = cli.main(["certify", str(path)])
+    assert [str(w.message) for w in caught] == []
+    record = json.loads(stdout.getvalue())
+    if code is None:
+        assert exit_code in (0, 3) or record["error"]["code"] == "no_derivative_bound"
+    else:
+        assert exit_code == 2 and record["error"]["code"] == code
