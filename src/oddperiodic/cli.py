@@ -3,7 +3,9 @@
 Machine-readable throughout: every command prints one JSON run record to
 stdout (sorted keys, so records are byte-stable up to the wall-time field),
 dense function data goes to CSV with header ``t,u,u_prime,residual_pointwise``
-and shortest-round-trip decimal floats.
+and shortest-round-trip decimal floats.  A command's handler returns its
+options, outcome and exit code, or raises ProblemError; :func:`main` builds
+and prints the one record.
 
 Exit codes: 0 success, 2 input/validation error, 3 certificate does not
 hold, 4 non-convergence (best iterate still written), 5 verification
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -56,12 +59,9 @@ EXIT_NO_CONV = 4
 EXIT_VERIFY = 5
 
 CSV_HEADER = ["t", "u", "u_prime", "residual_pointwise"]
+SWEEP_COLUMNS = ["param", "lambda", "holds", "converged", "iterations",
+                 "solution_norm", "residual", "oracle_distance"]
 MAX_SWEEP_STEPS = 10_000
-
-
-def _fmt(x) -> str:
-    """Shortest decimal that round-trips the double."""
-    return repr(float(x))
 
 
 def _finite_or_null(value):
@@ -79,32 +79,6 @@ def _dumps(record: dict) -> str:
     """Strict JSON: a non-finite float is written as null, not as the
     non-standard tokens Infinity and NaN."""
     return json.dumps(_finite_or_null(record), indent=2, sort_keys=True)
-
-
-def _emit(record: dict) -> None:
-    print(_dumps(record))
-
-
-def _fail(code: int, error_code: str, message: str) -> int:
-    _emit({"error": {"code": error_code, "message": message}})
-    return code
-
-
-def _load(config_path: str):
-    cfg = _decode(Path(config_path).read_bytes())
-    return cfg, parse_problem(cfg)
-
-
-def _record(command: str, cfg: dict, problem, options: dict, outcome: dict,
-            t0: float) -> dict:
-    return {
-        "command": command,
-        "label": problem.label,
-        "config": cfg,
-        "options": options,
-        "outcome": outcome,
-        "wall_time_s": time.perf_counter() - t0,
-    }
 
 
 def _report_outcome(report) -> dict:
@@ -128,70 +102,81 @@ def _report_outcome(report) -> dict:
     return out
 
 
-def _write_solution_csv(path: Path, problem, u) -> None:
-    P = 4 * u.modes
-    t = np.arange(P) * (problem.period / P)
-    uvals, res = pointwise_residual(problem, u, P)
-    upvals = grid_samples(differentiate(u, 1), P)
+def _cell(value) -> str:
+    """A CSV cell: true/false, a decimal integer or the shortest decimal
+    that round-trips the double."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    return repr(float(value))
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for row in zip(t, uvals, upvals, res):
-            writer.writerow([_fmt(x) for x in row])
+        writer.writerow(header)
+        writer.writerows([_cell(x) for x in row] for row in rows)
 
 
-def _sidecar_path(out: Path) -> Path:
-    # appended, not substituted: <out>.json can never clobber another input
-    return Path(str(out) + ".json")
-
-
-def cmd_certify(args) -> int:
-    t0 = time.perf_counter()
-    cfg, problem = _load(args.config)
+def cmd_certify(args, cfg, problem):
     try:
         cert = certify(problem)
     except CertificateError as exc:
-        return _fail(EXIT_INPUT, "no_derivative_bound", str(exc))
+        raise ProblemError("no_derivative_bound", str(exc))
     outcome = cert.as_dict()
     outcome["threshold"] = 2.0 / problem.period ** 2
-    _emit(_record("certify", cfg, problem, {}, outcome, t0))
-    return EXIT_OK if cert.holds else EXIT_NO_CERT
+    return {}, outcome, EXIT_OK if cert.holds else EXIT_NO_CERT
 
 
-def cmd_solve(args) -> int:
-    t0 = time.perf_counter()
-    cfg, problem = _load(args.config)
+def cmd_solve(args, cfg, problem):
     try:
         report = solve(problem, method=args.method, tol=args.tol,
                        max_iter=args.max_iter, modes=args.modes)
     except MajorantError as exc:
-        return _fail(EXIT_INPUT, "no_majorant", str(exc))
-    out = Path(args.out)
-    _write_solution_csv(out, problem, report.solution)
+        raise ProblemError("no_majorant", str(exc))
+    u = report.solution
+    P = 4 * u.modes
+    uvals, res = pointwise_residual(problem, u, P)
+    _write_csv(args.out, CSV_HEADER,
+               zip(np.arange(P) * (problem.period / P), uvals,
+                   grid_samples(differentiate(u, 1), P), res))
     options = {"method": args.method, "tol": args.tol,
                "max_iter": args.max_iter, "modes": args.modes,
-               "out": str(out)}
-    record = _record("solve", cfg, problem, options, _report_outcome(report), t0)
-    _sidecar_path(out).write_text(_dumps(record) + "\n")
-    _emit(record)
-    return EXIT_OK if report.converged else EXIT_NO_CONV
+               "out": str(args.out)}
+    return (options, _report_outcome(report),
+            EXIT_OK if report.converged else EXIT_NO_CONV)
+
+
+def _lines(fh, limit: int):
+    """The lines of ``fh``, refusing one longer than ``limit`` characters."""
+    while line := fh.readline(limit + 1):
+        if len(line) > limit:
+            raise ProblemError("bad_document",
+                               f"a line is longer than {limit} characters")
+        yield line
 
 
 def _read_solution_csv(path: Path, problem):
     """The finite u column of a solution CSV on this problem's grid."""
+    # solve writes at most 4 * MAX_MODES rows, each one line of 4 unquoted
+    # numbers (about 100 characters): refuse a longer line or one row more
+    max_rows = 4 * MAX_MODES
     with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_lines(fh, 1024), quoting=csv.QUOTE_NONE)
         header = next(reader, None)
         if header != CSV_HEADER:
             raise ProblemError("bad_document",
                                f"unexpected CSV header {header!r}")
-        rows = [[float(x) for x in row] for row in reader]
+        rows = [[float(x) for x in row]
+                for row in itertools.islice(reader, max_rows + 1)]
+    if len(rows) > max_rows:
+        raise ProblemError("bad_document", f"more than {max_rows} rows")
     if len(rows) < 4 or len(rows) % 2 or any(len(row) != 4 for row in rows):
         raise ProblemError("bad_document",
                            "need an even number (>= 4) of rows of 4 numbers")
     data = np.asarray(rows)
-    P = data.shape[0]
-    expected_t = np.arange(P) * (problem.period / P)
+    expected_t = np.arange(len(rows)) * (problem.period / len(rows))
     if not np.all(np.abs(data[:, 0] - expected_t) <= 1e-9 * problem.period):
         raise ProblemError(
             "bad_document",
@@ -201,35 +186,23 @@ def _read_solution_csv(path: Path, problem):
     return data[:, 1]
 
 
-def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
-    cfg, problem = _load(args.config)
-    try:
-        u_col = _read_solution_csv(Path(args.solution), problem)
-    except (OSError, ValueError, csv.Error) as exc:
-        raise ProblemError("bad_document", f"cannot read solution file: {exc}") from None
-    options = {"tol": args.tol, "solution": args.solution}
+def _verdict(problem, u_col, tol: float) -> dict:
+    """The verify outcome of the u column: pass, fail, not_odd_periodic,
+    oracle_inconclusive or oracle_blowup."""
     try:
         u = from_samples(u_col, problem.period)
     except OddSymmetryError as exc:
-        outcome = {"passed": False, "verdict": "not_odd_periodic",
-                   "defect": exc.defect, "tolerance": exc.tol}
-        _emit(_record("verify", cfg, problem, options, outcome, t0))
-        return EXIT_VERIFY
+        return {"passed": False, "verdict": "not_odd_periodic",
+                "defect": exc.defect, "tolerance": exc.tol}
     try:
-        cv = cross_validate(problem, u, tol=args.tol)
+        cv = cross_validate(problem, u, tol=tol)
     except OracleInconclusiveError as exc:
-        outcome = {"passed": False, "verdict": "oracle_inconclusive",
-                   "residual": ode_residual(problem, u), "message": str(exc)}
-        _emit(_record("verify", cfg, problem, options, outcome, t0))
-        return EXIT_VERIFY
+        return {"passed": False, "verdict": "oracle_inconclusive",
+                "residual": ode_residual(problem, u), "message": str(exc)}
     except BlowUpError as exc:
-        outcome = {"passed": False, "verdict": "oracle_blowup",
-                   "t_escape": exc.t_escape,
-                   "residual": ode_residual(problem, u)}
-        _emit(_record("verify", cfg, problem, options, outcome, t0))
-        return EXIT_VERIFY
-    outcome = {
+        return {"passed": False, "verdict": "oracle_blowup",
+                "t_escape": exc.t_escape, "residual": ode_residual(problem, u)}
+    return {
         "passed": cv.passed,
         "verdict": "pass" if cv.passed else "fail",
         "residual": cv.residual_candidate,
@@ -237,23 +210,29 @@ def cmd_verify(args) -> int:
         "distance": cv.distance,
         "shooting_v0": cv.shooting.v0,
     }
-    _emit(_record("verify", cfg, problem, options, outcome, t0))
-    return EXIT_OK if cv.passed else EXIT_VERIFY
 
 
-def cmd_sweep(args) -> int:
-    t0 = time.perf_counter()
-    cfg, base_problem = _load(args.config)
+def cmd_verify(args, cfg, problem):
+    try:
+        u_col = _read_solution_csv(Path(args.solution), problem)
+    except (OSError, ValueError, csv.Error) as exc:
+        raise ProblemError("bad_document", f"cannot read solution file: {exc}") from None
+    outcome = _verdict(problem, u_col, args.tol)
+    return ({"tol": args.tol, "solution": args.solution}, outcome,
+            EXIT_OK if outcome["passed"] else EXIT_VERIFY)
+
+
+def cmd_sweep(args, cfg, base_problem):
     if not (1 <= args.steps <= MAX_SWEEP_STEPS
             and np.isfinite(args.start) and np.isfinite(args.stop)):
-        return _fail(EXIT_INPUT, "bad_range",
-                     f"need finite range and 1 <= steps <= {MAX_SWEEP_STEPS}")
+        raise ProblemError(
+            "bad_range", f"need finite range and 1 <= steps <= {MAX_SWEEP_STEPS}")
     if args.stop < args.start:
-        return _fail(EXIT_INPUT, "bad_range", "sweep range must have stop >= start")
+        raise ProblemError("bad_range", "sweep range must have stop >= start")
     param = args.param
     if param != "period" and param not in (cfg.get("params") or {}):
-        return _fail(EXIT_INPUT, "bad_range",
-                     f"unknown sweep parameter {param!r} for this config")
+        raise ProblemError("bad_range",
+                           f"unknown sweep parameter {param!r} for this config")
     values = np.linspace(args.start, args.stop, args.steps)
     if param == "period":
         # every row shares the base problem's g, so a batched step makes
@@ -268,60 +247,36 @@ def cmd_sweep(args) -> int:
     reports = solve_many(problems, tol=args.tol, max_iter=args.max_iter,
                          modes=args.modes)
     distances = shooting_distances(problems, [r.solution for r in reports])
-    rows = []
+    table = []
     for value, report, distance in zip(values, reports, distances):
         cert = report.certificate
-        rows.append({
-            "param": float(value),
-            "lambda": cert.factor if cert is not None else float("nan"),
-            "holds": cert is not None and cert.holds,
-            "converged": report.converged,
-            "iterations": report.iterations,
-            "solution_norm": sup_norm(report.solution),
-            "residual": report.residual,
-            "oracle_distance": distance,
-        })
-    out = Path(args.out)
-    with out.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["param", "lambda", "holds", "converged", "iterations",
-                         "solution_norm", "residual", "oracle_distance"])
-        for r in rows:
-            writer.writerow([
-                _fmt(r["param"]), _fmt(r["lambda"]),
-                "true" if r["holds"] else "false",
-                "true" if r["converged"] else "false",
-                str(r["iterations"]), _fmt(r["solution_norm"]),
-                _fmt(r["residual"]), _fmt(r["oracle_distance"]),
-            ])
+        table.append((float(value),
+                      cert.factor if cert is not None else float("nan"),
+                      cert is not None and cert.holds, report.converged,
+                      report.iterations, sup_norm(report.solution),
+                      report.residual, distance))
+    _write_csv(args.out, SWEEP_COLUMNS, table)
     options = {"param": param, "from": args.start, "to": args.stop,
-               "steps": args.steps, "tol": args.tol, "out": str(out)}
-    _emit(_record("sweep", cfg, base_problem, options,
-                  {"rows": rows, "out": str(out)}, t0))
-    return EXIT_OK
+               "steps": args.steps, "tol": args.tol, "out": str(args.out)}
+    rows = [dict(zip(SWEEP_COLUMNS, row)) for row in table]
+    return options, {"rows": rows, "out": str(args.out)}, EXIT_OK
 
 
-def cmd_compare(args) -> int:
-    t0 = time.perf_counter()
-    cfg, problem = _load(args.config)
+def cmd_compare(args, cfg, problem):
     results: dict[str, dict] = {}
     solutions = {}
-
-    picard = solve(problem, method="picard", tol=args.tol,
-                   max_iter=args.max_iter, modes=args.modes)
-    results["picard"] = _report_outcome(picard)
-    if picard.converged:
-        solutions["picard"] = picard.solution
-
-    try:
-        continuation = solve(problem, method="continuation", tol=args.tol,
-                             max_iter=args.max_iter, modes=args.modes)
-        results["continuation"] = _report_outcome(continuation)
-        if continuation.converged:
-            solutions["continuation"] = continuation.solution
-    except MajorantError as exc:
-        continuation = None
-        results["continuation"] = {"skipped": str(exc)}
+    reports = {}
+    for method in ("picard", "continuation"):  # only continuation needs majorants
+        try:
+            report = solve(problem, method=method, tol=args.tol,
+                           max_iter=args.max_iter, modes=args.modes)
+        except MajorantError as exc:
+            results[method] = {"skipped": str(exc)}
+            continue
+        reports[method] = report
+        results[method] = _report_outcome(report)
+        if report.converged:
+            solutions[method] = report.solution
 
     reference = solutions.get("continuation") or solutions.get("picard")
     if reference is not None:
@@ -338,20 +293,18 @@ def cmd_compare(args) -> int:
     else:
         results["shooting"] = {"skipped": "no converged solution to seed from"}
 
-    names = sorted(solutions)
-    distances = {}
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            distances[f"{a}_vs_{b}"] = sup_norm(solutions[a] - solutions[b])
+    distances = {f"{a}_vs_{b}": sup_norm(solutions[a] - solutions[b])
+                 for a, b in itertools.combinations(sorted(solutions), 2)}
 
     outcome = {"methods": results, "distances": distances}
     options = {"tol": args.tol, "max_iter": args.max_iter, "modes": args.modes}
-    _emit(_record("compare", cfg, problem, options, outcome, t0))
-    if not picard.converged or (continuation is not None and not continuation.converged):
-        return EXIT_NO_CONV
-    if "shooting" not in solutions:
-        return EXIT_VERIFY
-    return EXIT_OK
+    if not all(report.converged for report in reports.values()):
+        code = EXIT_NO_CONV
+    elif "shooting" not in solutions:
+        code = EXIT_VERIFY
+    else:
+        code = EXIT_OK
+    return options, outcome, code
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -361,6 +314,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     "certify, verify, sweep, compare.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_command(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("config")
+        p.set_defaults(handler=handler)
+        return p
+
     def add_solver_flags(p):
         p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                        help="step sup-norm stopping tolerance")
@@ -369,56 +328,71 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--modes", type=int, default=DEFAULT_MODES,
                        help="working sine truncation order")
 
-    p = sub.add_parser("certify", help="evaluate the contraction certificate")
-    p.add_argument("config")
-    p.set_defaults(handler=cmd_certify)
+    add_command("certify", cmd_certify, "evaluate the contraction certificate")
 
-    p = sub.add_parser("solve", help="solve and write CSV + JSON sidecar")
-    p.add_argument("config")
+    p = add_command("solve", cmd_solve, "solve and write CSV + JSON sidecar")
     p.add_argument("--method", choices=["picard", "continuation", "auto"],
                    default="auto")
     add_solver_flags(p)
-    p.add_argument("--out", default="solution.csv")
-    p.set_defaults(handler=cmd_solve)
+    p.add_argument("--out", type=Path, default="solution.csv")
 
-    p = sub.add_parser("verify", help="re-check a solution file independently")
-    p.add_argument("config")
+    p = add_command("verify", cmd_verify, "re-check a solution file independently")
     p.add_argument("solution")
     p.add_argument("--tol", type=float, default=1e-6,
                    help="acceptance tolerance for residuals and distance")
-    p.set_defaults(handler=cmd_verify)
 
-    p = sub.add_parser("sweep", help="solve across a parameter range")
-    p.add_argument("config")
+    p = add_command("sweep", cmd_sweep, "solve across a parameter range")
     p.add_argument("--param", required=True,
                    help="'period' or a family parameter name")
     p.add_argument("--from", dest="start", type=float, required=True)
     p.add_argument("--to", dest="stop", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
     add_solver_flags(p)
-    p.add_argument("--out", default="sweep.csv")
-    p.set_defaults(handler=cmd_sweep)
+    p.add_argument("--out", type=Path, default="sweep.csv")
 
-    p = sub.add_parser("compare",
-                       help="run picard, continuation and shooting side by side")
-    p.add_argument("config")
+    p = add_command("compare", cmd_compare,
+                    "run picard, continuation and shooting side by side")
     add_solver_flags(p)
-    p.set_defaults(handler=cmd_compare)
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command and print its one JSON record: the run record the
+    command's handler fills in, or an error record.  Returns the exit code."""
     args = _build_parser().parse_args(argv)
-    if hasattr(args, "modes") and not 1 <= args.modes <= MAX_MODES:
-        return _fail(EXIT_INPUT, "bad_modes",
-                     f"--modes {args.modes} is outside 1..{MAX_MODES}")
+    t0 = time.perf_counter()
     try:
-        return args.handler(args)
+        if hasattr(args, "modes"):  # the solver flags
+            if not 1 <= args.modes <= MAX_MODES:
+                raise ProblemError(
+                    "bad_modes", f"--modes {args.modes} is outside 1..{MAX_MODES}")
+            if not 0 < args.tol < math.inf:
+                raise ProblemError(
+                    "bad_tol", f"--tol {args.tol} is not a positive finite number")
+            if args.max_iter < 1:
+                raise ProblemError(
+                    "bad_max_iter", f"--max-iter {args.max_iter} is below 1")
+        cfg = _decode(Path(args.config).read_bytes())
+        problem = parse_problem(cfg)
+        options, outcome, code = args.handler(args, cfg, problem)
+        record = {
+            "command": args.command,
+            "label": problem.label,
+            "config": cfg,
+            "options": options,
+            "outcome": outcome,
+            "wall_time_s": time.perf_counter() - t0,
+        }
+        if args.command == "solve":
+            # appended, not substituted: <out>.json can never clobber an input
+            Path(f"{args.out}.json").write_text(_dumps(record) + "\n")
     except ProblemError as exc:
-        return _fail(EXIT_INPUT, exc.code, str(exc))
+        record, code = {"error": {"code": exc.code, "message": str(exc)}}, EXIT_INPUT
     except OSError as exc:
-        return _fail(EXIT_INPUT, "bad_document", str(exc))
+        record, code = {"error": {"code": "bad_document", "message": str(exc)}}, EXIT_INPUT
+    print(_dumps(record))
+    return code
 
 
 if __name__ == "__main__":

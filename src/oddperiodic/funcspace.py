@@ -250,8 +250,8 @@ def grid_samples(f, n_points: int) -> np.ndarray:
     return _full_grid(f.coeffs, P, isinstance(f, OddPeriodicFunction))
 
 
-def from_samples(samples, period: float, *, modes: int | None = None,
-                 tol: float | None = None) -> OddPeriodicFunction:
+def from_samples(samples, period: float, *,
+                 modes: int | None = None) -> OddPeriodicFunction:
     """Sine-analyze uniform full-period samples of an odd periodic function.
 
     Parameters
@@ -263,8 +263,6 @@ def from_samples(samples, period: float, *, modes: int | None = None,
     modes : int, optional
         Truncation order of the result; defaults to P/2.  Mode P/2 is
         invisible on this grid and always comes back 0.
-    tol : float, optional
-        Odd-symmetry rejection threshold; defaults to 1e-8 * max|sample|.
 
     Returns
     -------
@@ -275,8 +273,8 @@ def from_samples(samples, period: float, *, modes: int | None = None,
     Raises
     ------
     OddSymmetryError
-        If the samples fail the odd-symmetry check (the data is not in the
-        working space).
+        If the odd-symmetry defect exceeds 1e-8 * max|sample| (the data is
+        not in the working space).
     ValueError
         For non-finite samples, odd or too-short sample counts, or a
         requested order above P/2.
@@ -287,8 +285,7 @@ def from_samples(samples, period: float, *, modes: int | None = None,
     if not np.all(np.isfinite(s)):
         raise ValueError("samples must be finite")
     defect = odd_symmetry_defect(s)
-    if tol is None:
-        tol = 1e-8 * float(np.max(np.abs(s)))
+    tol = 1e-8 * float(np.max(np.abs(s)))
     if defect > tol:
         raise OddSymmetryError(defect, tol)
     P = s.size

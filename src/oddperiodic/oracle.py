@@ -25,8 +25,8 @@ import numpy as np
 
 from .funcspace import (
     OddPeriodicFunction,
+    _sine_rows,
     differentiate,
-    from_samples,
     grid_samples,
     sup_norm,
 )
@@ -254,7 +254,7 @@ def _reconstruct(u_nodes: np.ndarray, period: float,
     samples[: modes + 1] = half
     samples[modes + 1 :] = -half[1:modes][::-1]  # u(T - t) = -u(t)
     samples[0] = 0.0
-    return from_samples(samples, period, tol=np.inf)
+    return OddPeriodicFunction(period, _sine_rows(samples, modes))
 
 
 def shoot(problem, v0_bracket, tol: float = 1e-11,

@@ -266,10 +266,15 @@ def _pair_norms(pairs: np.ndarray) -> list[tuple[float, float]]:
     return [(float(step), float(norm)) for step, norm in _sup_norms(pairs)]
 
 
+def _check_tol(tol) -> None:
+    """The one tol check of both solve methods."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+
+
 def _picard(problem, cert, initial_guess, tol, max_iter, modes):
     """The Picard solve of :func:`solve_picard` as a row of :func:`_lockstep`."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     N = max(int(modes), problem.k.modes)
     if initial_guess is None:
         u = OddPeriodicFunction.zero(problem.period, N)
@@ -328,13 +333,15 @@ def _damped_picard(step_map, u: OddPeriodicFunction, lam: float, tol: float,
     consecutive direction reversals of the coefficient step).  ``step_map``
     is the map on u's coefficients, applied through :func:`_lockstep`; an
     application that meets a non-finite g(u) fails the stage.  Returns
-    (iterate, converged, step_norms, max_iterate_norm, applications).
+    (iterate, converged, step_norms, iterate_norms, applications), where
+    iterate_norms holds sup|u| of each new iterate from the batched norm
+    pairs (the start's norm is the caller's).
     """
     theta = 1.0
     prev_step = None
     reversals = 0
     step_norms: list[float] = []
-    max_norm = sup_norm(u)
+    norms: list[float] = []
     b = u.coeffs
     converged = False
     for _ in range(max_iter):
@@ -342,7 +349,7 @@ def _damped_picard(step_map, u: OddPeriodicFunction, lam: float, tol: float,
             target = lam * (yield step_map, b)
         except NonFiniteNonlinearityError:
             # a blown-up stage is a failed stage; its applications count
-            return u, False, step_norms, max_norm, len(step_norms) + 1
+            return u, False, step_norms, norms, len(step_norms) + 1
         step_vec = target - b
         if prev_step is not None and theta == 1.0:
             if float(np.dot(step_vec, prev_step)) < 0.0:
@@ -356,11 +363,11 @@ def _damped_picard(step_map, u: OddPeriodicFunction, lam: float, tol: float,
         step_sup, norm = yield None, np.array((step_vec, b))
         step = theta * step_sup
         step_norms.append(step)
-        max_norm = max(max_norm, norm)
+        norms.append(norm)
         if step < tol:
             converged = True
             break
-    return (OddPeriodicFunction(u.period, b), converged, step_norms, max_norm,
+    return (OddPeriodicFunction(u.period, b), converged, step_norms, norms,
             len(step_norms))
 
 
@@ -391,6 +398,7 @@ def solve_continuation(problem, *, lambda_step: float = 0.1,
 def _continuation(problem, cert, tol, max_iter_per_step, modes,
                   lambda_step=0.1, min_lambda_step=1e-4):
     """The solve of :func:`solve_continuation` as a row of :func:`_lockstep`."""
+    _check_tol(tol)
     if not (0 < lambda_step <= 1):
         raise ValueError("lambda_step must be in (0, 1]")
     try:
@@ -417,16 +425,16 @@ def _continuation(problem, cert, tol, max_iter_per_step, modes,
         lam_next = lam + step
         if lam_next >= 1.0 - 1e-12:  # snap the endpoint: accumulation dust
             lam_next = 1.0
-        u_trial, ok, hist, stage_max, applied = yield from _damped_picard(
+        u_trial, ok, hist, norms, applied = yield from _damped_picard(
             step_map, u, lam_next, tol, max_iter_per_step)
         iterations += applied
-        max_norm = max(max_norm, stage_max)
+        max_norm = max([max_norm, *norms])
         if ok:
             lam = lam_next
             u = u_trial
             path.append(lam)
             step_norms = hist
-            if bound is not None and sup_norm(u) > bound * (1 + 1e-9) + 10 * tol:
+            if bound is not None and norms[-1] > bound * (1 + 1e-9) + 10 * tol:
                 raise RuntimeError(
                     "accepted continuation solution violates the a-priori "
                     "bound; this indicates numerical breakdown")

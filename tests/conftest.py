@@ -12,23 +12,28 @@ from oddperiodic import OddPeriodicFunction
 # Directory that holds the imported `oddperiodic` package; CLI children get it
 # first on PYTHONPATH so they run the same code as the tests from any cwd.
 PACKAGE_ROOT = str(Path(oddperiodic.__file__).resolve().parent.parent)
-# Far above the slowest CLI test (about 2 s): a hung child fails its own test.
+# Far above the slowest child (about 2 s): a hung child fails its own test.
 CLI_TIMEOUT_S = 300
+
+
+def _run_python(*args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, cwd=cwd, env=env, timeout=CLI_TIMEOUT_S)
+
+
+@pytest.fixture
+def run_python():
+    """`run_python(*args, cwd=...)` runs `python *args` in `cwd`."""
+    return _run_python
 
 
 @pytest.fixture
 def run_cli():
     """`run_cli(*args, cwd=...)` runs `python -m oddperiodic *args` in `cwd`."""
-
-    def run(*args, cwd):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
-        return subprocess.run([sys.executable, "-m", "oddperiodic", *args],
-                              capture_output=True, text=True, cwd=cwd,
-                              env=env, timeout=CLI_TIMEOUT_S)
-
-    return run
+    return lambda *args, cwd: _run_python("-m", "oddperiodic", *args, cwd=cwd)
 
 
 @pytest.fixture

@@ -205,6 +205,35 @@ class TestSolve:
         assert res.returncode == 2 and res.stderr == ""
         assert read_record(res.stdout)["error"]["code"] == "no_majorant"
 
+    @pytest.mark.parametrize("argv,code", [
+        (["solve", "--tol", "0"], "bad_tol"),
+        (["solve", "--method", "continuation", "--tol", "-1"], "bad_tol"),
+        (["solve", "--tol", "nan"], "bad_tol"),
+        (["sweep", "--param", "period", "--from", "4", "--to", "5",
+          "--steps", "2", "--tol", "0"], "bad_tol"),
+        (["compare", "--tol", "0"], "bad_tol"),
+        (["solve", "--max-iter", "-3"], "bad_max_iter"),
+        (["compare", "--max-iter", "0"], "bad_max_iter"),
+    ], ids=["solve_tol_zero", "continuation_tol_negative", "tol_nan",
+            "sweep_tol_zero", "compare_tol_zero", "max_iter_negative",
+            "max_iter_zero"])
+    def test_bad_solver_flag_exits_two(self, tmp_path, run_cli, argv, code):
+        cfg = write_config(tmp_path, TANH)
+        res = run_cli(argv[0], cfg, *argv[1:], cwd=tmp_path)
+        assert res.returncode == 2 and res.stderr == ""
+        assert read_record(res.stdout)["error"]["code"] == code
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_sidecar_path_taken_by_a_directory_exits_two(self, tmp_path,
+                                                         run_cli):
+        cfg = write_config(tmp_path, PENDULUM)
+        (tmp_path / "x.csv.json").mkdir()
+        res = run_cli("solve", cfg, "--modes", "16", "--out", "x.csv",
+                      cwd=tmp_path)
+        assert res.returncode == 2 and res.stderr == ""
+        # exactly one JSON document on stdout
+        assert read_record(res.stdout)["error"]["code"] == "bad_document"
+
     def test_modes_flag_sets_grid_size(self, tmp_path, run_cli):
         cfg = write_config(tmp_path, ZERO)
         res = run_cli("solve", cfg, "--modes", "64", "--out", "m.csv",
@@ -287,11 +316,20 @@ class TestVerify:
         res = run_cli("verify", cfg, "missing.csv", cwd=tmp_path)
         assert res.returncode == 2
 
+    def test_tol_is_the_acceptance_threshold(self, tmp_path, run_cli):
+        # the closed-form solution is within 1e-6 of the oracle, not 1e-20
+        cfg = write_config(tmp_path, ZERO)
+        (tmp_path / "u.csv").write_text(_solution_csv())
+        for tol, code, verdict in (("1e-6", 0, "pass"), ("1e-20", 5, "fail")):
+            res = run_cli("verify", cfg, "u.csv", "--tol", tol, cwd=tmp_path)
+            assert res.returncode == code
+            assert read_record(res.stdout)["outcome"]["verdict"] == verdict
 
-def _solution_csv(edit=lambda rows: rows) -> str:
-    """The closed-form solution u = -sin t of the ZERO config on 8 points,
-    with ``edit`` applied to its rows of cells."""
-    t = np.arange(8) * (T2PI / 8)
+
+def _solution_csv(edit=lambda rows: rows, points=8) -> str:
+    """The closed-form solution u = -sin t of the ZERO config on ``points``
+    points, with ``edit`` applied to its rows of cells."""
+    t = np.arange(points) * (T2PI / points)
     rows = [[repr(float(tj)), repr(float(-np.sin(tj))),
              repr(float(-np.cos(tj))), "0.0"] for tj in t]
     lines = [["t", "u", "u_prime", "residual_pointwise"]] + edit(rows)
@@ -318,6 +356,8 @@ INPUT_FILES = {
         json.dumps(ZERO), _solution_csv(lambda rows: [r[:1] for r in rows]), 2),
     "csv_three_cell_rows": (
         json.dumps(ZERO), _solution_csv(lambda rows: [r[:3] for r in rows]), 2),
+    "csv_quoted_u": (json.dumps(ZERO), _solution_csv(
+        lambda rows: [[r[0], f'"{r[1]}"'] + r[2:] for r in rows]), 2),
     "csv_finite_spike": (
         json.dumps(ZERO), _solution_csv(_set_u("0.25")), 5),
     "csv_intact": (json.dumps(ZERO), _solution_csv(), 0),
@@ -338,6 +378,35 @@ def test_input_file_exit_code(tmp_path, run_cli, name):
     record = read_record(res.stdout)
     if expected == 2:
         assert record["error"]["code"] == "bad_document"
+
+
+@pytest.mark.parametrize("points,expected", [(8, 0), (10, 2)])
+def test_solution_csv_row_ceiling(tmp_path, monkeypatch, points, expected):
+    from oddperiodic import cli
+
+    monkeypatch.setattr(cli, "MAX_MODES", 2)  # solve writes at most 8 rows
+    cfg = write_config(tmp_path, ZERO)
+    (tmp_path / "u.csv").write_text(_solution_csv(points=points))
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        code = cli.main(["verify", cfg, str(tmp_path / "u.csv")])
+    assert code == expected
+    if expected == 2:
+        assert read_record(stdout.getvalue())["error"]["code"] == "bad_document"
+
+
+def test_solution_csv_line_ceiling(tmp_path):
+    # a row of 300 more cells is refused before its line is read whole
+    from oddperiodic import cli
+
+    cfg = write_config(tmp_path, ZERO)
+    (tmp_path / "u.csv").write_text(
+        _solution_csv(lambda rows: [rows[0] + ["0.0"] * 300] + rows[1:]))
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        code = cli.main(["verify", cfg, str(tmp_path / "u.csv")])
+    assert code == 2
+    assert read_record(stdout.getvalue())["error"] == {
+        "code": "bad_document",
+        "message": "cannot read solution file: a line is longer than 1024 characters"}
 
 
 class TestSweep:

@@ -183,6 +183,12 @@ class TestSolveContinuation:
         with pytest.raises(ValueError):
             solve_continuation(pendulum(), lambda_step=0.0)
 
+    def test_rejects_bad_tol_like_picard(self):
+        p = builtin("tanh_g", {"s": 1.0}, period=T2PI, forcing=[(1, 0.5)])
+        for method in ("picard", "continuation"):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                solve(p, method=method, tol=-1)
+
 
 class TestAprioriBound:
     def test_zero_g_bound_and_consistency(self):
