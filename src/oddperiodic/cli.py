@@ -62,6 +62,9 @@ CSV_HEADER = ["t", "u", "u_prime", "residual_pointwise"]
 SWEEP_COLUMNS = ["param", "lambda", "holds", "converged", "iterations",
                  "solution_norm", "residual", "oracle_distance"]
 MAX_SWEEP_STEPS = 10_000
+# a sweep solves and shoots its rows in passes of at most this many working
+# coefficients (rows x modes), and keeps only the table rows between passes
+SWEEP_PASS_COEFFS = 2**18
 
 
 def _finite_or_null(value):
@@ -223,8 +226,9 @@ def cmd_verify(args, cfg, problem):
 
 
 def cmd_sweep(args, cfg, base_problem):
+    # a finite width also rules out non-finite ends
     if not (1 <= args.steps <= MAX_SWEEP_STEPS
-            and np.isfinite(args.start) and np.isfinite(args.stop)):
+            and math.isfinite(args.stop - args.start)):
         raise ProblemError(
             "bad_range", f"need finite range and 1 <= steps <= {MAX_SWEEP_STEPS}")
     if args.stop < args.start:
@@ -233,28 +237,34 @@ def cmd_sweep(args, cfg, base_problem):
     if param != "period" and param not in (cfg.get("params") or {}):
         raise ProblemError("bad_range",
                            f"unknown sweep parameter {param!r} for this config")
-    values = np.linspace(args.start, args.stop, args.steps)
+    values = np.linspace(args.start, args.stop, args.steps).tolist()
     if param == "period":
         # every row shares the base problem's g, so a batched step makes
         # one g call for all rows
         forcing = list(enumerate(base_problem.k.coeffs.tolist(), start=1))
-        problems = [make_problem(float(value), base_problem.g, forcing,
-                                 label=base_problem.label) for value in values]
+
+        def row_problem(value):
+            return make_problem(value, base_problem.g, forcing,
+                                label=base_problem.label)
     else:
-        problems = [parse_problem({**cfg, "params": {**cfg["params"],
-                                                      param: float(value)}})
-                    for value in values]
-    reports = solve_many(problems, tol=args.tol, max_iter=args.max_iter,
-                         modes=args.modes)
-    distances = shooting_distances(problems, [r.solution for r in reports])
+        def row_problem(value):
+            return parse_problem({**cfg, "params": {**cfg["params"], param: value}})
+    rows_per_pass = max(1, SWEEP_PASS_COEFFS
+                        // max(args.modes, base_problem.k.modes))
     table = []
-    for value, report, distance in zip(values, reports, distances):
-        cert = report.certificate
-        table.append((float(value),
-                      cert.factor if cert is not None else float("nan"),
-                      cert is not None and cert.holds, report.converged,
-                      report.iterations, sup_norm(report.solution),
-                      report.residual, distance))
+    for first in range(0, len(values), rows_per_pass):
+        chunk = values[first:first + rows_per_pass]
+        problems = [row_problem(value) for value in chunk]
+        reports = solve_many(problems, tol=args.tol, max_iter=args.max_iter,
+                             modes=args.modes)
+        distances = shooting_distances(problems, [r.solution for r in reports])
+        for value, report, distance in zip(chunk, reports, distances):
+            cert = report.certificate
+            table.append((value,
+                          cert.factor if cert is not None else float("nan"),
+                          cert is not None and cert.holds, report.converged,
+                          report.iterations, sup_norm(report.solution),
+                          report.residual, distance))
     _write_csv(args.out, SWEEP_COLUMNS, table)
     options = {"param": param, "from": args.start, "to": args.stop,
                "steps": args.steps, "tol": args.tol, "out": str(args.out)}
@@ -363,16 +373,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        if hasattr(args, "modes"):  # the solver flags
-            if not 1 <= args.modes <= MAX_MODES:
-                raise ProblemError(
-                    "bad_modes", f"--modes {args.modes} is outside 1..{MAX_MODES}")
-            if not 0 < args.tol < math.inf:
-                raise ProblemError(
-                    "bad_tol", f"--tol {args.tol} is not a positive finite number")
-            if args.max_iter < 1:
-                raise ProblemError(
-                    "bad_max_iter", f"--max-iter {args.max_iter} is below 1")
+        if hasattr(args, "modes") and not 1 <= args.modes <= MAX_MODES:
+            raise ProblemError(
+                "bad_modes", f"--modes {args.modes} is outside 1..{MAX_MODES}")
+        if hasattr(args, "tol") and not 0 < args.tol < math.inf:
+            raise ProblemError(
+                "bad_tol", f"--tol {args.tol} is not a positive finite number")
+        if hasattr(args, "max_iter") and args.max_iter < 1:
+            raise ProblemError(
+                "bad_max_iter", f"--max-iter {args.max_iter} is below 1")
         cfg = _decode(Path(args.config).read_bytes())
         problem = parse_problem(cfg)
         options, outcome, code = args.handler(args, cfg, problem)

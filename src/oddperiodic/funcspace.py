@@ -250,8 +250,7 @@ def grid_samples(f, n_points: int) -> np.ndarray:
     return _full_grid(f.coeffs, P, isinstance(f, OddPeriodicFunction))
 
 
-def from_samples(samples, period: float, *,
-                 modes: int | None = None) -> OddPeriodicFunction:
+def from_samples(samples, period: float) -> OddPeriodicFunction:
     """Sine-analyze uniform full-period samples of an odd periodic function.
 
     Parameters
@@ -260,15 +259,14 @@ def from_samples(samples, period: float, *,
         Values at t_j = j*T/P, j = 0..P-1, with P even and >= 4.
     period : float
         The period T.
-    modes : int, optional
-        Truncation order of the result; defaults to P/2.  Mode P/2 is
-        invisible on this grid and always comes back 0.
 
     Returns
     -------
     OddPeriodicFunction
-        The interpolating sine polynomial: round trips reproduce the input
-        samples of any sine polynomial of order <= P/2 to machine precision.
+        The interpolating sine polynomial of order P/2: round trips
+        reproduce the input samples of any sine polynomial of order <= P/2
+        to machine precision.  Mode P/2 is invisible on this grid and
+        always comes back 0.
 
     Raises
     ------
@@ -276,8 +274,7 @@ def from_samples(samples, period: float, *,
         If the odd-symmetry defect exceeds 1e-8 * max|sample| (the data is
         not in the working space).
     ValueError
-        For non-finite samples, odd or too-short sample counts, or a
-        requested order above P/2.
+        For non-finite samples or odd or too-short sample counts.
     """
     s = np.asarray(samples, dtype=float)
     if s.ndim != 1 or s.size < 4 or s.size % 2:
@@ -288,13 +285,7 @@ def from_samples(samples, period: float, *,
     tol = 1e-8 * float(np.max(np.abs(s)))
     if defect > tol:
         raise OddSymmetryError(defect, tol)
-    P = s.size
-    if modes is None:
-        modes = P // 2
-    modes = int(modes)
-    if not 1 <= modes <= P // 2:
-        raise ValueError(f"modes must be in 1..{P // 2} for {P} samples")
-    return OddPeriodicFunction(period, _sine_rows(s, modes))
+    return OddPeriodicFunction(period, _sine_rows(s, s.size // 2))
 
 
 def _sine_rows(samples: np.ndarray, modes: int) -> np.ndarray:
@@ -339,32 +330,26 @@ def mean(f) -> float:
     return float(np.mean(samples))
 
 
-def sup_norm(f, refinement: int = 8) -> float:
-    """Grid maximum of |f| over ``refinement * modes`` equispaced points.
+def sup_norm(f) -> float:
+    """Grid maximum of |f| over 8 * modes equispaced points (at least 8).
 
-    A lower bound on the true sup norm; the refinement factor trades cost
-    for sharpness (the exact maximum of a trigonometric polynomial would
-    need root finding).
+    A lower bound on the true sup norm (the exact maximum of a
+    trigonometric polynomial would need root finding).
     """
-    refinement = int(refinement)
-    if refinement < 1:
-        raise ValueError("refinement must be >= 1")
-    P = _norm_points(f.modes, refinement)
     # the mirrored half of the grid holds the same values up to sign
-    head = _half_grid(f.coeffs, P, isinstance(f, OddPeriodicFunction))
+    head = _half_grid(f.coeffs, _norm_points(f.modes),
+                      isinstance(f, OddPeriodicFunction))
     return float(np.max(np.abs(head)))
 
 
-def _norm_points(modes: int, refinement: int = 8) -> int:
-    """The even grid size of :func:`sup_norm`: refinement * modes, at least 8."""
-    P = max(refinement * modes, 8)
-    return P + P % 2
+def _norm_points(modes: int) -> int:
+    """The grid size of :func:`sup_norm`."""
+    return max(8 * modes, 8)
 
 
 def _sup_norms(rows: np.ndarray) -> np.ndarray:
     """:func:`sup_norm` of each row of sine coefficients, from one FFT call."""
-    P = _norm_points(rows.shape[-1])
-    return np.max(np.abs(_half_grid(rows, P)), axis=-1)
+    return np.max(np.abs(_half_grid(rows, _norm_points(rows.shape[-1]))), axis=-1)
 
 
 def differentiate(f: OddPeriodicFunction, order: int):

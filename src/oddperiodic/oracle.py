@@ -48,7 +48,13 @@ __all__ = [
 
 # default integrator density: h <= T / _STEPS_PER_PERIOD
 _STEPS_PER_PERIOD = 2048
+# shooting: the boundary tolerance on |u(T/2)|, the sine order of the
+# reconstruction and the RK4 steps of a half-period shot (h = T/2048).  The
+# reconstruction grid t_j = j*T/512 falls on every 4th node of a shot.  A
+# shot passes its steps to integrate_ivp, where bench/tracer.py reads them.
+_SHOOT_TOL = 1e-11
 _RECONSTRUCTION_MODES = 256
+_HALF_PERIOD_STEPS = _STEPS_PER_PERIOD // 2
 
 
 class BlowUpError(ArithmeticError):
@@ -221,34 +227,17 @@ def _integrate_rows(problems, u0, v0, t_end, steps: int):
     return u_out.T, t_escape
 
 
-def _half_period_steps(modes: int) -> int:
-    """Default RK4 steps of a half-period shot: h <= T/2048, with the
-    nodes aligned to the reconstruction grid of ``modes`` modes."""
-    return math.ceil(_default_steps(0.5, 1.0) / modes) * modes
-
-
-def _reconstruct(u_nodes: np.ndarray, period: float,
-                 modes: int) -> OddPeriodicFunction:
-    """Odd-reflect a half-period trajectory and sine-analyze it.
-
-    When the analysis grid is a subgrid of the RK4 nodes the samples are
-    taken directly; otherwise values are linearly interpolated between
-    nodes, which caps the oracle accuracy near 1e-7 at default settings.
+def _reconstruct(u_nodes: np.ndarray, period: float) -> OddPeriodicFunction:
+    """Odd-reflect a half-period shot and sine-analyze it to 256 modes.
 
     The residual boundary defect b = u(T/2) would reflect into a value jump
     of 2b whose sine coefficients decay only like 1/n; subtracting the ramp
     b*t/(T/2) (a perturbation of size <= b, below the oracle floor) restores
     endpoint consistency and keeps the spectral tail clean.
     """
+    modes = _RECONSTRUCTION_MODES
     P = 2 * modes
-    n_steps = u_nodes.size - 1
-    if n_steps % modes == 0:
-        half = u_nodes[:: n_steps // modes].copy()  # nodes coincide with grid
-    else:
-        # the nodes of integrate_ivp over [0, T/2]
-        t_nodes = (0.5 * period / n_steps) * np.arange(n_steps + 1)
-        t_half = np.arange(modes + 1) * (period / P)
-        half = np.interp(t_half, t_nodes, u_nodes)
+    half = u_nodes[:: _HALF_PERIOD_STEPS // modes].copy()
     half -= half[-1] * (np.arange(modes + 1) / modes)
     samples = np.empty(P)
     samples[: modes + 1] = half
@@ -257,21 +246,19 @@ def _reconstruct(u_nodes: np.ndarray, period: float,
     return OddPeriodicFunction(period, _sine_rows(samples, modes))
 
 
-def shoot(problem, v0_bracket, tol: float = 1e-11,
-          steps: int | None = None,
-          modes: int = _RECONSTRUCTION_MODES) -> ShootingResult:
+def shoot(problem, v0_bracket) -> ShootingResult:
     """Solve the half-period boundary value problem by shooting on u'(0).
 
-    Finds v0 with |u(T/2; v0)| <= tol.  The bracket midpoint is shot first
-    and returned when it meets the tolerance, as it does when the bracket
-    is centred on a good slope estimate; the endpoints are then never
-    integrated.  Otherwise the endpoints are shot: an endpoint with
-    u(T/2) exactly 0 is returned, else bisection runs on a sign change
-    (its first midpoint is the one already shot), else the secant
-    iteration seeded from the two endpoints.  The accepted slope is not
-    integrated again: the trajectory its root test produced is
-    odd-reflected to a full period and resampled into an
-    OddPeriodicFunction.
+    Finds v0 with |u(T/2; v0)| <= 1e-11, each shot in 1024 RK4 steps.  The
+    bracket midpoint is shot first and returned when it meets the
+    tolerance, as it does when the bracket is centred on a good slope
+    estimate; the endpoints are then never integrated.  Otherwise the
+    endpoints are shot: an endpoint with u(T/2) exactly 0 is returned,
+    else bisection runs on a sign change (its first midpoint is the one
+    already shot), else the secant iteration seeded from the two
+    endpoints.  The accepted slope is not integrated again: the trajectory
+    its root test produced is odd-reflected to a full period and resampled
+    into an OddPeriodicFunction.
 
     Shooting the midpoint first returns it where the endpoints alone
     would have decided otherwise: over an endpoint with u(T/2) exactly 0,
@@ -289,32 +276,28 @@ def shoot(problem, v0_bracket, tol: float = 1e-11,
     BlowUpError
         The integration blew up inside the bracket.
     """
-    T = problem.period
-    if steps is None:
-        steps = _half_period_steps(modes)
-    steps = int(steps)
     a, b = float(v0_bracket[0]), float(v0_bracket[1])
     v0 = 0.5 * (a + b)
-    traj = integrate_ivp(problem, 0.0, v0, 0.5 * T, steps=steps)
-    if abs(traj.u[-1]) > tol:
-        v0, traj = _shoot_bracket(problem, a, b, float(traj.u[-1]), traj, tol,
-                                  steps)
+    traj = integrate_ivp(problem, 0.0, v0, 0.5 * problem.period,
+                         steps=_HALF_PERIOD_STEPS)
+    if abs(traj.u[-1]) > _SHOOT_TOL:
+        v0, traj = _shoot_bracket(problem, a, b, float(traj.u[-1]), traj)
     return ShootingResult(v0=v0, boundary_defect=float(traj.u[-1]),
                           trajectory=traj,
-                          reconstructed=_reconstruct(traj.u, T, modes))
+                          reconstructed=_reconstruct(traj.u, problem.period))
 
 
 def _shoot_bracket(problem, a: float, b: float, fm: float,
-                   traj_m: Trajectory | None, tol: float,
-                   steps: int) -> tuple[float, Trajectory]:
+                   traj_m: Trajectory | None) -> tuple[float, Trajectory]:
     """The slope and trajectory :func:`shoot` accepts after the midpoint's
-    shot (u(T/2) = ``fm``, trajectory ``traj_m`` if kept) missed ``tol``."""
+    shot (u(T/2) = ``fm``, trajectory ``traj_m`` if kept) missed the
+    boundary tolerance."""
     t_half = 0.5 * problem.period
     traj = None  # trajectory of the slope F was last called with
 
     def F(v0: float) -> float:
         nonlocal traj
-        traj = integrate_ivp(problem, 0.0, v0, t_half, steps=steps)
+        traj = integrate_ivp(problem, 0.0, v0, t_half, steps=_HALF_PERIOD_STEPS)
         return float(traj.u[-1])
 
     m = 0.5 * (a + b)
@@ -343,18 +326,18 @@ def _shoot_bracket(problem, a: float, b: float, fm: float,
                 break
             m = 0.5 * (a + b)
             fm = F(m)
-            if abs(fm) <= tol:
+            if abs(fm) <= _SHOOT_TOL:
                 v0 = m
                 break
         if v0 is None:
             raise OracleInconclusiveError(
                 "bisection exhausted the bracket without meeting the "
-                f"boundary tolerance {tol:.1e}")
+                f"boundary tolerance {_SHOOT_TOL:.1e}")
     else:
         # secant from the two seeds
         x0, f0, x1, f1 = a, fa, b, fb
         for _ in range(100):
-            if abs(f1) <= tol:
+            if abs(f1) <= _SHOOT_TOL:
                 v0 = x1
                 break
             denom = f1 - f0
@@ -426,12 +409,10 @@ def shooting_distances(problems, candidates) -> list[float]:
     The first midpoints of all rows are shot in one vectorized RK4 loop; a
     row whose midpoint misses goes on as :func:`shoot` does from there.
     """
-    tol, modes = 1e-11, _RECONSTRUCTION_MODES  # the defaults of shoot
-    steps = _half_period_steps(modes)
     brackets = [_slope_bracket(u) for u in candidates]
     u_mid, t_escape = _integrate_rows(
         problems, [0.0] * len(problems), [0.5 * (a + b) for a, b in brackets],
-        [0.5 * p.period for p in problems], steps)
+        [0.5 * p.period for p in problems], _HALF_PERIOD_STEPS)
     distances = []
     for problem, u, (a, b), u_m, t_esc in zip(problems, candidates, brackets,
                                               u_mid, t_escape):
@@ -439,10 +420,10 @@ def shooting_distances(problems, candidates) -> list[float]:
         try:
             if not math.isnan(t_esc):
                 raise BlowUpError(t_esc)
-            if abs(fm) > tol:
-                u_m = _shoot_bracket(problem, a, b, fm, None, tol, steps)[1].u
+            if abs(fm) > _SHOOT_TOL:
+                u_m = _shoot_bracket(problem, a, b, fm, None)[1].u
         except (OracleInconclusiveError, ArithmeticError):
             distances.append(math.nan)
             continue
-        distances.append(sup_norm(u - _reconstruct(u_m, problem.period, modes)))
+        distances.append(sup_norm(u - _reconstruct(u_m, problem.period)))
     return distances

@@ -63,6 +63,10 @@ __all__ = [
 DEFAULT_MODES = 256
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10_000
+# continuation: the first lambda step, halved on each failed stage down to
+# the floor below which the path is given up
+_LAMBDA_STEP = 0.1
+_MIN_LAMBDA_STEP = 1e-4
 
 
 class CertificateError(ValueError):
@@ -371,16 +375,14 @@ def _damped_picard(step_map, u: OddPeriodicFunction, lam: float, tol: float,
             len(step_norms))
 
 
-def solve_continuation(problem, *, lambda_step: float = 0.1,
-                       tol: float = DEFAULT_TOL,
+def solve_continuation(problem, *, tol: float = DEFAULT_TOL,
                        max_iter_per_step: int = 5000,
-                       modes: int = DEFAULT_MODES,
-                       min_lambda_step: float = 1e-4) -> SolveReport:
+                       modes: int = DEFAULT_MODES) -> SolveReport:
     """Homotopy in the scaling of the solution map: u = lam * map(u).
 
-    Climbs lam from 0 (where u = 0) to 1 (the original problem), warm
-    starting each stage from the previous solution and halving the step on
-    stage failure.  The step aborting below ``min_lambda_step`` is reported
+    Climbs lam from 0 (where u = 0) to 1 (the original problem) in steps of
+    0.1, warm starting each stage from the previous solution and halving
+    the step on stage failure.  The step aborting below 1e-4 is reported
     as ``failure="step_underflow"`` -- the existence theory guarantees a
     solution, not that this path reaches it.  ``iterations`` counts every
     map application, those of failed stages included.
@@ -390,17 +392,13 @@ def solve_continuation(problem, *, lambda_step: float = 0.1,
     breakdown and raises ``RuntimeError``.
     """
     (report,) = _lockstep([_continuation(
-        problem, _try_certificate(problem), tol, max_iter_per_step, modes,
-        lambda_step, min_lambda_step)])
+        problem, _try_certificate(problem), tol, max_iter_per_step, modes)])
     return report
 
 
-def _continuation(problem, cert, tol, max_iter_per_step, modes,
-                  lambda_step=0.1, min_lambda_step=1e-4):
+def _continuation(problem, cert, tol, max_iter_per_step, modes):
     """The solve of :func:`solve_continuation` as a row of :func:`_lockstep`."""
     _check_tol(tol)
-    if not (0 < lambda_step <= 1):
-        raise ValueError("lambda_step must be in (0, 1]")
     try:
         bound = apriori_bound(problem)
     except MajorantError:
@@ -415,7 +413,7 @@ def _continuation(problem, cert, tol, max_iter_per_step, modes,
     step_map = _CoefficientMap(problem, N)
     lam = 0.0
     path: list[float] = []
-    step = float(lambda_step)
+    step = _LAMBDA_STEP
     max_norm = 0.0
     step_norms: list[float] = []
     converged = False
@@ -443,7 +441,7 @@ def _continuation(problem, cert, tol, max_iter_per_step, modes,
                 break
         else:
             step *= 0.5
-            if step < min_lambda_step:
+            if step < _MIN_LAMBDA_STEP:
                 failure = "step_underflow"
                 break
 

@@ -4,9 +4,13 @@ import contextlib
 import csv
 import io
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from oddperiodic import MAX_MODES
 
@@ -214,9 +218,16 @@ class TestSolve:
         (["compare", "--tol", "0"], "bad_tol"),
         (["solve", "--max-iter", "-3"], "bad_max_iter"),
         (["compare", "--max-iter", "0"], "bad_max_iter"),
+        # the solution file does not exist: the flag is refused before it
+        # is read
+        (["verify", "u.csv", "--tol", "-1"], "bad_tol"),
+        (["verify", "u.csv", "--tol", "nan"], "bad_tol"),
+        (["verify", "u.csv", "--tol", "0"], "bad_tol"),
+        (["verify", "u.csv", "--tol", "inf"], "bad_tol"),
     ], ids=["solve_tol_zero", "continuation_tol_negative", "tol_nan",
             "sweep_tol_zero", "compare_tol_zero", "max_iter_negative",
-            "max_iter_zero"])
+            "max_iter_zero", "verify_tol_negative", "verify_tol_nan",
+            "verify_tol_zero", "verify_tol_inf"])
     def test_bad_solver_flag_exits_two(self, tmp_path, run_cli, argv, code):
         cfg = write_config(tmp_path, TANH)
         res = run_cli(argv[0], cfg, *argv[1:], cwd=tmp_path)
@@ -572,3 +583,166 @@ def test_param_sweep_validates_each_row_once(tmp_path, monkeypatch):
     assert code == 0
     # the base config once, then one pass per row
     assert calls == [{"a": 0.04}, {"a": 0.04}, {"a": 0.05}, {"a": 0.06}]
+
+
+def test_sweep_in_passes_equals_one_pass(tmp_path, monkeypatch):
+    from oddperiodic import cli
+
+    cfg = write_config(tmp_path, PENDULUM)
+    out = tmp_path / "s.csv"
+
+    def sweep():
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            code = cli.main(["sweep", cfg, "--param", "period", "--from", "4",
+                             "--to", "10", "--steps", "10", "--modes", "32",
+                             "--out", str(out)])
+        assert code == 0
+        record = read_record(stdout.getvalue())
+        del record["wall_time_s"]
+        return record, out.read_bytes()
+
+    one_pass = sweep()
+    rows_per_call = []
+    solve_many = cli.solve_many
+
+    def counted(problems, **kwargs):
+        rows_per_call.append(len(problems))
+        return solve_many(problems, **kwargs)
+
+    budget = 4 * 32  # four rows of 32 modes
+    monkeypatch.setattr(cli, "SWEEP_PASS_COEFFS", budget)
+    monkeypatch.setattr(cli, "solve_many", counted)
+    assert sweep() == one_pass
+    assert len(rows_per_call) >= 3 and sum(rows_per_call) == 10
+    assert max(rows_per_call) * 32 <= budget
+    assert {row["holds"] for row in one_pass[0]["outcome"]["rows"]} == {True, False}
+
+
+# Numbers across the float line, as argv strings: non-finite, signed zero,
+# negatives, the largest doubles, 20-digit integers and a few plain values.
+FUZZ_INTS = ["1", "2", "3", "8"] * 2 + ["0", "-1", "9", "12345678901234567890",
+                                       "-12345678901234567890"]
+FUZZ_NUMBERS = FUZZ_INTS + ["nan", "inf", "-inf", "-0.0", "-2.5", "1e308",
+                            "-1e308", "1e-6", "0.5", "4.5", "7"]
+FUZZ_FLAGS = {
+    "certify": [],
+    "solve": ["--method", "--tol", "--max-iter", "--modes", "--out"],
+    "verify": ["--tol"],
+    "sweep": ["--param", "--from", "--to", "--steps", "--tol", "--max-iter",
+              "--modes", "--out"],
+    "compare": ["--tol", "--max-iter", "--modes"],
+}
+SWEEP_REQUIRED = ("--param", "--from", "--to", "--steps")
+FUZZ_CONFIGS = ["cubic_large.json", "linear_small.json", "pendulum.json",
+                "tanh.json", "zero.json"]
+# file arguments: every config, a solution file, a missing path, a directory
+FUZZ_PATHS = FUZZ_CONFIGS + ["good.csv", "missing.json", "adir", "out.csv"]
+FUZZ_WORDS = ["picard", "continuation", "auto", "period", "a", "s", "c",
+              "c3", "-x", "--bogus", "-", ""]
+
+
+def _fuzz_text():
+    # no NUL, surrogate or '/' (argv cannot hold the first two, and every
+    # path stays in the working directory); no leading '-' (help flags)
+    return st.text(st.characters(exclude_categories=("Cs",),
+                                 exclude_characters="\x00/"),
+                   max_size=12).filter(lambda s: not s.startswith("-"))
+
+
+def _mostly(draw, pool):
+    """An item of ``pool`` five times in six, else any value or text."""
+    if draw(st.integers(0, 5)):
+        return draw(st.sampled_from(pool))
+    return draw(st.one_of(
+        st.sampled_from(FUZZ_NUMBERS + FUZZ_PATHS + FUZZ_WORDS), _fuzz_text()))
+
+
+@st.composite
+def _fuzz_argv(draw):
+    """A subcommand, its files, and flags of that command (now and then of
+    another) with values of the flag's kind (now and then of any kind)."""
+    command = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    argv = [command, _mostly(draw, FUZZ_PATHS)]
+    if command == "verify":
+        argv.append(_mostly(draw, ["good.csv"] * 4 + FUZZ_PATHS))
+    # a sweep's four required flags are left out together now and then,
+    # --modes (whose default is above the small ceiling) now and then, and
+    # the other flags half the time
+    flags = []
+    required = command == "sweep" and draw(st.integers(0, 19)) > 0
+    for flag in FUZZ_FLAGS[command]:
+        if flag in SWEEP_REQUIRED:
+            if required:
+                flags.append(flag)
+        elif draw(st.integers(0, 9)) >= (1 if flag == "--modes" else 5):
+            flags.append(flag)
+    if draw(st.integers(0, 9)) == 0:  # a flag of any command
+        flags.append(draw(st.sampled_from(FUZZ_FLAGS["sweep"])))
+    # the pools repeat the values that pass the checks, so that runs get
+    # as far as the solve, the oracle and the written files
+    positive = ["0.5", "1", "4.5", "7"] * 2 + FUZZ_NUMBERS
+    kinds = {"--method": ["picard", "continuation", "auto"],
+             "--param": ["period"] * 4 + ["a", "s", "c", "c3"],
+             "--out": FUZZ_PATHS, "--steps": FUZZ_INTS,
+             "--max-iter": FUZZ_INTS, "--modes": FUZZ_INTS}
+    for flag in flags:
+        value = _mostly(draw, kinds.get(flag, positive))
+        # "--flag=value" lets a value that starts with '-' through
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+@pytest.fixture
+def fuzz_dir(tmp_path, monkeypatch):
+    """A working directory holding every config, a solution file of the
+    pendulum config at 8 modes and a directory, with the CLI's ceilings
+    made small and every solve capped at 20 iterations (the flags are
+    under test, not convergence)."""
+    from oddperiodic import cli
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "MAX_MODES", 8)
+    monkeypatch.setattr(cli, "MAX_SWEEP_STEPS", 3)
+    for name in ("solve", "solve_many"):
+        monkeypatch.setattr(cli, name, lambda *a, _f=getattr(cli, name), **kw: _f(
+            *a, **dict(kw, max_iter=min(kw["max_iter"], 20))))
+    (tmp_path / "adir").mkdir()
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    for name in FUZZ_CONFIGS:
+        (tmp_path / name).write_bytes((configs / name).read_bytes())
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["solve", "pendulum.json", "--modes", "8",
+                         "--out", "good.csv"]) == 0
+    return tmp_path
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_fuzz_argv())
+# a range whose width overflows a double, a sweep that runs through, and
+# one that solves and then cannot write its CSV
+@example(argv=["sweep", "pendulum.json", "--param", "period", "--from=-1e308",
+               "--to", "1e308", "--steps", "3", "--modes", "8"])
+@example(argv=["sweep", "tanh.json", "--param", "period", "--from", "1",
+               "--to", "12345678901234567890", "--steps", "3", "--modes", "8"])
+@example(argv=["sweep", "pendulum.json", "--param", "a", "--from", "0.04",
+               "--to", "0.06", "--steps", "2", "--modes=2", "--out", "adir"])
+def test_fuzzed_argv_exits_cleanly(fuzz_dir, argv):
+    """Any argv ends in argparse's exit 2, or in one strict JSON record
+    with a documented exit code, and never in a warning."""
+    from oddperiodic import cli
+
+    out = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("always")
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2 and out.getvalue() == ""
+            code = None
+    assert not caught, [str(w.message) for w in caught]
+    if code is not None:
+        assert code in (0, 2, 3, 4, 5)
+        read_strict(out.getvalue())  # exactly one JSON document

@@ -96,9 +96,9 @@ class TestFromSamples:
         with pytest.raises(ValueError):
             from_samples(np.zeros(2), T2PI)
 
-    def test_rejects_unrecoverable_mode_request(self):
-        with pytest.raises(ValueError):
-            from_samples(np.zeros(8), T2PI, modes=5)
+    def test_order_is_half_the_sample_count(self):
+        for P in (4, 12, 512):
+            assert from_samples(np.zeros(P), T2PI).modes == P // 2
 
 
 # (modes N, grid points P): P >= 2N+2 resolves every mode, P = 2N puts the
@@ -158,8 +158,8 @@ class TestGridTransforms:
         assert np.max(np.abs(odd - dense_synthesis(coeffs, P, np.sin))) <= tol
         assert np.max(np.abs(even - dense_synthesis(coeffs, P, np.cos))) <= tol
         if P >= 2 * (coeffs.size + 1):
-            back = from_samples(odd, 2.5, modes=coeffs.size).coeffs
-            assert np.max(np.abs(back - coeffs)) <= tol
+            back = from_samples(odd, 2.5).coeffs  # P/2 modes, zero above N
+            assert np.max(np.abs(back - np.pad(coeffs, (0, half - coeffs.size)))) <= tol
 
 
 class TestEvaluate:
@@ -208,11 +208,12 @@ class TestSupNorm:
         oracle = np.sin(t_star) + np.sin(2 * t_star)
         assert oracle == pytest.approx(1.7601725930460868, abs=1e-12)
         u = OddPeriodicFunction(T2PI, [1.0, 1.0])
-        assert sup_norm(u, refinement=500_000) == pytest.approx(oracle, abs=1e-9)
+        fine = np.max(np.abs(grid_samples(u, 1_000_000)))
+        assert fine == pytest.approx(oracle, abs=1e-9)
 
     def test_is_lower_bound_of_true_sup(self):
         u = OddPeriodicFunction(T2PI, [1.0, 1.0])
-        assert sup_norm(u) <= sup_norm(u, refinement=500_000) + 1e-15
+        assert sup_norm(u) <= np.max(np.abs(grid_samples(u, 1_000_000))) + 1e-15
 
 
 class TestMean:

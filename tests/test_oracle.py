@@ -1,5 +1,7 @@
 """Tests for the RK4 integrator, shooting and residual oracle."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -193,19 +195,25 @@ class TestShoot:
 
     def test_reconstruction_quality_invariants(self):
         p = builtin("pendulum", {"a": 0.04}, period=T2PI, forcing=[(1, 0.05)])
-        tol = 1e-11
-        shot = shoot(p, (-2.0, 0.5), tol=tol)
+        tol = 1e-11  # the boundary tolerance of shoot
+        shot = shoot(p, (-2.0, 0.5))
         r = shot.reconstructed
         assert odd_symmetry_defect(grid_samples(r, 4 * r.modes)) <= 1e-9
         assert ode_residual(p, r) <= 10 * tol
         assert shot.trajectory.u[0] == 0.0
 
-    def test_misaligned_steps_use_interpolation(self):
-        # step count not a multiple of the mode count: linear-interp path
-        shot = shoot(zero_problem(), (-2.0, 0.0), steps=1000, modes=64)
-        exact = OddPeriodicFunction(T2PI, [-1.0])
-        dist = sup_norm(shot.reconstructed - exact.with_modes(shot.reconstructed.modes))
-        assert dist < 1e-5  # linear interpolation floor, not the aligned path
+    def test_reconstruction_samples_every_fourth_node_of_the_shot(self):
+        # 1024 half-period steps put the 512-point grid of the 256-mode
+        # reconstruction on every 4th node of the shot: no interpolation
+        p = builtin("pendulum", {"a": 0.04}, period=T2PI, forcing=[(1, 0.05)])
+        shot = shoot(p, (-2.0, 0.5))
+        traj, r = shot.trajectory, shot.reconstructed
+        assert r.modes == 256 and len(traj.t) == 1025
+        assert np.array_equal(traj.t[::4], np.arange(257) * (T2PI / 512))
+        # the nodes less the ramp that takes out the boundary defect
+        ramp = traj.u[-1] * np.arange(257) / 256
+        assert np.max(np.abs(grid_samples(r, 512)[:257]
+                             - (traj.u[::4] - ramp))) <= 1e-14
 
 
 class TestResidual:
@@ -286,7 +294,7 @@ class TestCrossValidate:
         # independence by inspection of imports, pinned here as a regression
         import oddperiodic.oracle as oracle_mod
 
-        src = open(oracle_mod.__file__).read()
+        src = Path(oracle_mod.__file__).read_text()
         assert "from .solver" not in src and "from . import solver" not in src
         assert "from .operators" not in src and "from . import operators" not in src
         assert "invert_second_derivative" not in src

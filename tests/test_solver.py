@@ -1,5 +1,7 @@
 """Tests for Picard iteration, continuation, certificates and bounds."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,10 @@ from oddperiodic import (
     certify,
     differentiate,
     fixed_point_map,
+    from_samples,
     grid_samples,
     make_problem,
+    shoot,
     solve,
     solve_continuation,
     solve_many,
@@ -162,9 +166,15 @@ class TestSolveContinuation:
 
     def test_lambda_path_is_increasing_to_one(self):
         p = builtin("tanh_g", {"s": 1.0}, period=T2PI, forcing=[(1, 0.5)])
-        path = solve_continuation(p, lambda_step=0.25).lambda_path
+        path = solve_continuation(p).lambda_path
         assert all(a < b for a, b in zip(path, path[1:]))
         assert path[-1] == 1.0
+
+    def test_lambda_path_steps_by_a_tenth(self):
+        # every stage of this problem converges: the step is never halved
+        p = builtin("tanh_g", {"s": 1.0}, period=T2PI, forcing=[(1, 0.5)])
+        path = solve_continuation(p).lambda_path
+        assert path == pytest.approx([0.1 * k for k in range(1, 11)], abs=1e-12)
 
     def test_requires_sublinearity_declaration(self):
         p = builtin("cubic", {"c3": 1.0}, period=T2PI, forcing=[(1, 1.0)])
@@ -178,10 +188,6 @@ class TestSolveContinuation:
         assert not report.converged
         assert report.failure == "step_underflow"
         assert report.lambda_path == [] or report.lambda_path[-1] < 1.0
-
-    def test_rejects_bad_lambda_step(self):
-        with pytest.raises(ValueError):
-            solve_continuation(pendulum(), lambda_step=0.0)
 
     def test_rejects_bad_tol_like_picard(self):
         p = builtin("tanh_g", {"s": 1.0}, period=T2PI, forcing=[(1, 0.5)])
@@ -274,14 +280,14 @@ def reference_picard(problem, modes, tol=1e-12, max_iter=10_000):
     return u, step_norms, max_norm, iterations
 
 
-def reference_continuation(problem, modes, lambda_step=0.1, tol=1e-12,
-                           max_iter=5000, min_lambda_step=1e-4):
-    """Continuation with damped Picard stages on series objects; also
-    returns how many stages ended with the damping theta at 0.5."""
+def reference_continuation(problem, modes, tol=1e-12, max_iter=5000):
+    """Continuation with damped Picard stages on series objects, from a
+    lambda step of 0.1 halved down to 1e-4; also returns how many stages
+    ended with the damping theta at 0.5."""
     u = OddPeriodicFunction.zero(problem.period, max(modes, problem.k.modes))
-    lam, step, path, damped = 0.0, lambda_step, [], 0
+    lam, step, path, damped = 0.0, 0.1, [], 0
     max_norm, step_norms, iterations = 0.0, [], 0
-    while step >= min_lambda_step:
+    while step >= 1e-4:
         lam_next = lam + step
         if lam_next >= 1.0 - 1e-12:
             lam_next = 1.0
@@ -350,14 +356,12 @@ class TestCoefficientLoops:
         assert report.lambda_path == path
 
     @pytest.mark.parametrize("modes", [1, 5, 64, 100])
-    @pytest.mark.parametrize("refinement", [1, 3, 8])
-    def test_sup_norm_is_the_grid_maximum(self, rng, modes, refinement):
+    def test_sup_norm_is_the_grid_maximum(self, rng, modes):
         coeffs = rng.uniform(-1.0, 1.0, modes)
-        P = max(refinement * modes, 8)
-        P += P % 2  # refinement 1 puts P below 2N: the modes alias
+        P = max(8 * modes, 8)
         for f in (OddPeriodicFunction(3.0, coeffs),
                   differentiate(OddPeriodicFunction(3.0, coeffs), 1)):
-            assert sup_norm(f, refinement) == np.max(np.abs(grid_samples(f, P)))
+            assert sup_norm(f) == np.max(np.abs(grid_samples(f, P)))
 
     @pytest.mark.parametrize("g", [
         # finite, but above the 1e300 cap as soon as |u| > 0.5
@@ -537,3 +541,16 @@ def test_blown_up_stages_count_their_map_applications(monkeypatch):
     report = solve_continuation(p, modes=32)
     assert report.failure == "step_underflow" and blown
     assert report.iterations == sum(applied)
+
+
+@pytest.mark.parametrize("func, params", [
+    (shoot, ["problem", "v0_bracket"]),
+    (sup_norm, ["f"]),
+    (from_samples, ["samples", "period"]),
+    (solve_continuation, ["problem", "tol", "max_iter_per_step", "modes"]),
+], ids=["shoot", "sup_norm", "from_samples", "solve_continuation"])
+def test_tuning_constants_are_not_options(func, params):
+    # the oracle's tolerance, steps and reconstruction order, the norm grid
+    # and the continuation steps are module constants: the truncation order
+    # N stays the one approximation knob
+    assert list(inspect.signature(func).parameters) == params
