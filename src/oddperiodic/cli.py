@@ -105,21 +105,30 @@ def _report_outcome(report) -> dict:
     return out
 
 
-def _cell(value) -> str:
-    """A CSV cell: true/false, a decimal integer or the shortest decimal
-    that round-trips the double."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
+# rows of a CSV formatted at once
+_CSV_BLOCK = 4096
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _cells(column: np.ndarray) -> list[str]:
+    """The CSV cells of one column: true/false, decimal integers or the
+    shortest decimals that round-trip the doubles."""
+    if column.dtype == bool:
+        return ["true" if v else "false" for v in column.tolist()]
+    if column.dtype.kind in "iu":
+        return list(map(str, column.tolist()))
+    return list(map(repr, column.tolist()))
+
+
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Write ``columns`` under ``header`` as csv.writer would: cells joined
+    by commas, every line ended by CRLF (no cell needs quoting).  Rows are
+    formatted in blocks, so the cells held at once stay bounded."""
+    columns = [np.asarray(column) for column in columns]
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([_cell(x) for x in row] for row in rows)
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, len(columns[0]), _CSV_BLOCK):
+            block = zip(*(_cells(c[lo:lo + _CSV_BLOCK]) for c in columns))
+            fh.write("".join(",".join(cells) + "\r\n" for cells in block))
 
 
 def cmd_certify(args, cfg, problem):
@@ -142,8 +151,8 @@ def cmd_solve(args, cfg, problem):
     P = 4 * u.modes
     uvals, res = pointwise_residual(problem, u, P)
     _write_csv(args.out, CSV_HEADER,
-               zip(np.arange(P) * (problem.period / P), uvals,
-                   grid_samples(differentiate(u, 1), P), res))
+               [np.arange(P) * (problem.period / P), uvals,
+                grid_samples(differentiate(u, 1), P), res])
     options = {"method": args.method, "tol": args.tol,
                "max_iter": args.max_iter, "modes": args.modes,
                "out": str(args.out)}
@@ -265,7 +274,7 @@ def cmd_sweep(args, cfg, base_problem):
                           cert is not None and cert.holds, report.converged,
                           report.iterations, sup_norm(report.solution),
                           report.residual, distance))
-    _write_csv(args.out, SWEEP_COLUMNS, table)
+    _write_csv(args.out, SWEEP_COLUMNS, list(zip(*table)))
     options = {"param": param, "from": args.start, "to": args.stop,
                "steps": args.steps, "tol": args.tol, "out": str(args.out)}
     rows = [dict(zip(SWEEP_COLUMNS, row)) for row in table]

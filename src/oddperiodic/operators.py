@@ -24,7 +24,6 @@ from .funcspace import (
 )
 # bound here only for bench/tests, which rebinds operators.grid_samples
 from .funcspace import grid_samples  # noqa: F401
-from .problems import _row_values
 
 __all__ = [
     "OperatorNormBound",
@@ -110,20 +109,31 @@ class _CoefficientMap:
         self.gains = _neg_gains(problem.period, self.forcing.size) if invert else 1.0
 
     def __call__(self, b: np.ndarray) -> np.ndarray:
-        (out,) = _apply_maps([self], b[np.newaxis])
-        if isinstance(out, Exception):
-            raise out
-        return out
+        out, blown = _apply_maps(self.g.value, b[np.newaxis],
+                                 self.forcing[np.newaxis], self.gains)
+        if blown[0]:
+            raise NonFiniteNonlinearityError(
+                "g(u) is non-finite (or beyond overflow scale) on the sampling "
+                "grid; the iterate has left the region where this nonlinearity "
+                "can be evaluated")
+        return out[0]
 
 
-def _apply_maps(maps, rows: np.ndarray) -> list:
-    """``maps[i]`` applied to ``rows[i]`` for every row, with one transform
-    of each kind; entry i is the new coefficients or the exception the map
-    alone would raise, so a failing row leaves the others alone."""
+def _apply_maps(g, rows: np.ndarray, forcing: np.ndarray,
+                gains) -> tuple[np.ndarray, np.ndarray]:
+    """The map of each row's problem applied to that row, with one transform
+    of each kind.
+
+    ``g`` sends an array of samples to g's values row by row, and row i of
+    ``forcing`` and ``gains`` belongs to row i of ``rows``.  Returns the new
+    coefficients and the mask of rows whose g(u) blew up; a blown row's
+    output is meaningless, and the other rows are what the map alone gives
+    them.  A row whose g(u) is not odd raises OddSymmetryError.
+    """
     N = rows.shape[1]
     su = _full_grid(rows, 4 * N)
     with np.errstate(over="ignore", invalid="ignore"):
-        gu = _row_values([m.g for m in maps])(su)
+        gu = g(su)
         g_max = np.max(np.abs(gu), axis=1)
         # the relative term admits plain rounding at the scale of g(u) (some
         # vectorized kernels are not bitwise sign-symmetric); a genuinely
@@ -132,23 +142,16 @@ def _apply_maps(maps, rows: np.ndarray) -> list:
         defect = _symmetry_defects(gu)
     # the 1e300 cap keeps the analysis sums representable
     blown = ~(g_max <= 1e300)
-    good = ~blown & ~(defect > tol)
-    analysis = _sine_rows(gu if good.all() else
-                          np.where(good[:, np.newaxis], gu, 0.0), N)
-    out = []
-    for i, m in enumerate(maps):
-        if blown[i]:
-            out.append(NonFiniteNonlinearityError(
-                "g(u) is non-finite (or beyond overflow scale) on the sampling "
-                "grid; the iterate has left the region where this nonlinearity "
-                "can be evaluated"))
-        elif not good[i]:
-            out.append(OddSymmetryError(defect[i], tol[i]))
-        else:
-            rhs = m.forcing.copy()
-            rhs[:N] -= analysis[i]
-            out.append(rhs * m.gains)
-    return out
+    odd = ~(defect > tol)
+    if not (odd | blown).all():
+        i = np.flatnonzero(~odd & ~blown)[0]
+        raise OddSymmetryError(defect[i], tol[i])
+    analysis = _sine_rows(np.where(blown[:, np.newaxis], 0.0, gu)
+                          if blown.any() else gu, N)
+    out = forcing.copy()
+    out[:, :N] -= analysis
+    out *= gains
+    return out, blown
 
 
 def _check_period(problem, u: OddPeriodicFunction) -> None:

@@ -37,13 +37,13 @@ import numpy as np
 
 from .funcspace import OddPeriodicFunction, _sup_norms, sup_norm
 from .operators import (
-    NonFiniteNonlinearityError,
     _apply_maps,
     _check_period,
     _CoefficientMap,
     inverse_norm_bound,
 )
 from .oracle import ode_residual
+from .problems import _row_values
 
 __all__ = [
     "ContractionCertificate",
@@ -182,19 +182,20 @@ def solve_many(problems, *, method: str = "auto", tol: float = DEFAULT_TOL,
     ``method`` is ``picard``, ``continuation`` (``max_iter`` caps each
     stage) or ``auto``: Picard where the contraction certificate holds or
     g declares no majorant, continuation otherwise.  Each problem's
-    certificate is computed once and carried by its report.
+    certificate is computed once and carried by its report.  The rows of
+    one working size step together as one array (see :func:`_drive`).
     """
     if method not in ("auto", "picard", "continuation"):
         raise ValueError(f"unknown method {method!r}")
+    certs = [_try_certificate(problem) for problem in problems]
     rows = []
-    for problem in problems:
-        cert = _try_certificate(problem)
+    for problem, cert in zip(problems, certs):
         if method == "picard" or (method == "auto" and (
                 cert is not None and cert.holds or not problem.majorants)):
-            rows.append(_picard(problem, cert, None, tol, max_iter, modes))
+            rows.append(_picard_row(problem, cert, None, tol, modes))
         else:
-            rows.append(_continuation(problem, cert, tol, max_iter, modes))
-    return _lockstep(rows)
+            rows.append(_continuation_row(problem, cert, tol, modes))
+    return _drive(rows, tol, max_iter)
 
 
 def solve_picard(problem, *, initial_guess: OddPeriodicFunction | None = None,
@@ -217,162 +218,10 @@ def solve_picard(problem, *, initial_guess: OddPeriodicFunction | None = None,
     modes : int
         Working truncation order (raised to the forcing's order if needed).
     """
-    (report,) = _lockstep([_picard(problem, _try_certificate(problem),
-                                   initial_guess, tol, max_iter, modes)])
+    row = _picard_row(problem, _try_certificate(problem), initial_guess, tol,
+                      modes)
+    (report,) = _drive([row], tol, max_iter)
     return report
-
-
-def _lockstep(rows) -> list[SolveReport]:
-    """Run the solve generators ``rows`` together; return their reports.
-
-    A row yields ``(step_map, b)`` and receives step_map(b), or ``(None,
-    pair)`` and receives the sup norms of the pair's two rows.  Every
-    pending request of one kind and size goes into one batched call; a
-    failed map application is thrown back into its row.
-    """
-    reports: list = [None] * len(rows)
-    pending: dict[int, tuple] = {}
-
-    def advance(i: int, reply) -> None:
-        try:
-            if isinstance(reply, Exception):
-                pending[i] = rows[i].throw(reply)
-            else:
-                pending[i] = rows[i].send(reply)
-        except StopIteration as stop:
-            reports[i] = stop.value
-
-    for i in range(len(rows)):
-        advance(i, None)
-    while pending:
-        batches: dict[tuple, list[int]] = {}
-        for i, (step_map, array) in pending.items():
-            batches.setdefault((step_map is None, array.shape[-1]), []).append(i)
-        requests, replies = dict(pending), {}
-        pending.clear()
-        for (norms, _), idx in batches.items():
-            arrays = np.array([requests[i][1] for i in idx])
-            replies.update(zip(idx, _pair_norms(arrays) if norms else
-                               _apply_maps([requests[i][0] for i in idx], arrays)))
-        for i in sorted(replies):
-            advance(i, replies[i])
-    return reports
-
-
-def _pair_norms(pairs: np.ndarray) -> list[tuple[float, float]]:
-    """sup_norm of both rows of every pair, from one transform call.
-
-    A non-finite coefficient raises the ValueError that building its row
-    as a series would raise; no solve loop handles it.
-    """
-    if not np.all(np.isfinite(pairs)):
-        raise ValueError("coeffs must be finite")
-    return [(float(step), float(norm)) for step, norm in _sup_norms(pairs)]
-
-
-def _check_tol(tol) -> None:
-    """The one tol check of both solve methods."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-
-
-def _picard(problem, cert, initial_guess, tol, max_iter, modes):
-    """The Picard solve of :func:`solve_picard` as a row of :func:`_lockstep`."""
-    _check_tol(tol)
-    N = max(int(modes), problem.k.modes)
-    if initial_guess is None:
-        u = OddPeriodicFunction.zero(problem.period, N)
-    else:
-        u = initial_guess.with_modes(max(N, initial_guess.modes))
-        _check_period(problem, u)
-
-    regime = ("certified_contraction" if cert is not None and cert.holds
-              else "uncertified_picard")
-
-    step_norms: list[float] = []
-    max_norm = sup_norm(u)
-    b = u.coeffs
-    step_map = _CoefficientMap(problem, b.size)
-    converged = False
-    failure = None
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        try:
-            b_next = yield step_map, b
-        except NonFiniteNonlinearityError:
-            failure = "non_finite"
-            break
-        step, norm = yield None, np.array((b_next - b, b_next))
-        step_norms.append(step)
-        b = b_next
-        max_norm = max(max_norm, norm)
-        if step < tol:
-            converged = True
-            break
-    else:
-        iterations = max_iter
-    if not converged and failure is None:
-        failure = "max_iter"
-
-    u = OddPeriodicFunction(problem.period, b)
-    residual = ode_residual(problem, u)
-    return SolveReport(
-        solution=u,
-        iterations=iterations,
-        step_norms=step_norms,
-        residual=residual,
-        regime=regime,
-        converged=converged,
-        failure=failure,
-        max_iterate_norm=max_norm,
-        certificate=cert,
-    )
-
-
-def _damped_picard(step_map, u: OddPeriodicFunction, lam: float, tol: float,
-                   max_iter: int):
-    """Fixed point of u = lam * map(u) by Picard with optional damping.
-
-    Damping theta drops from 1 to 0.5 once the iteration oscillates (three
-    consecutive direction reversals of the coefficient step).  ``step_map``
-    is the map on u's coefficients, applied through :func:`_lockstep`; an
-    application that meets a non-finite g(u) fails the stage.  Returns
-    (iterate, converged, step_norms, iterate_norms, applications), where
-    iterate_norms holds sup|u| of each new iterate from the batched norm
-    pairs (the start's norm is the caller's).
-    """
-    theta = 1.0
-    prev_step = None
-    reversals = 0
-    step_norms: list[float] = []
-    norms: list[float] = []
-    b = u.coeffs
-    converged = False
-    for _ in range(max_iter):
-        try:
-            target = lam * (yield step_map, b)
-        except NonFiniteNonlinearityError:
-            # a blown-up stage is a failed stage; its applications count
-            return u, False, step_norms, norms, len(step_norms) + 1
-        step_vec = target - b
-        if prev_step is not None and theta == 1.0:
-            if float(np.dot(step_vec, prev_step)) < 0.0:
-                reversals += 1
-                if reversals >= 3:
-                    theta = 0.5
-            else:
-                reversals = 0
-        prev_step = step_vec
-        b = b + theta * step_vec
-        step_sup, norm = yield None, np.array((step_vec, b))
-        step = theta * step_sup
-        step_norms.append(step)
-        norms.append(norm)
-        if step < tol:
-            converged = True
-            break
-    return (OddPeriodicFunction(u.period, b), converged, step_norms, norms,
-            len(step_norms))
 
 
 def solve_continuation(problem, *, tol: float = DEFAULT_TOL,
@@ -387,17 +236,41 @@ def solve_continuation(problem, *, tol: float = DEFAULT_TOL,
     solution, not that this path reaches it.  ``iterations`` counts every
     map application, those of failed stages included.
 
+    Each stage is Picard on u = lam * map(u), damped from theta = 1 to 0.5
+    once the iteration oscillates (three consecutive direction reversals of
+    the coefficient step).  A stage that meets a non-finite g(u) fails.
+
     When the declared majorants admit an a-priori bound, every accepted
     stage solution is checked against it; a violation would mean numerical
     breakdown and raises ``RuntimeError``.
     """
-    (report,) = _lockstep([_continuation(
-        problem, _try_certificate(problem), tol, max_iter_per_step, modes)])
+    row = _continuation_row(problem, _try_certificate(problem), tol, modes)
+    (report,) = _drive([row], tol, max_iter_per_step)
     return report
 
 
-def _continuation(problem, cert, tol, max_iter_per_step, modes):
-    """The solve of :func:`solve_continuation` as a row of :func:`_lockstep`."""
+def _check_tol(tol) -> None:
+    """The one tol check of both solve methods."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+
+
+def _picard_row(problem, cert, initial_guess, tol, modes) -> _Row:
+    """The Picard solve of :func:`solve_picard` as a row of :func:`_drive`."""
+    _check_tol(tol)
+    N = max(int(modes), problem.k.modes)
+    if initial_guess is None:
+        u = OddPeriodicFunction.zero(problem.period, N)
+    else:
+        u = initial_guess.with_modes(max(N, initial_guess.modes))
+        _check_period(problem, u)
+    regime = ("certified_contraction" if cert is not None and cert.holds
+              else "uncertified_picard")
+    return _Row(problem, cert, regime, u.coeffs, sup_norm(u))
+
+
+def _continuation_row(problem, cert, tol, modes) -> _ContinuationRow:
+    """The solve of :func:`solve_continuation` as a row of :func:`_drive`."""
     _check_tol(tol)
     try:
         bound = apriori_bound(problem)
@@ -407,58 +280,222 @@ def _continuation(problem, cert, tol, max_iter_per_step, modes):
                 "continuation requires a sublinearity declaration: g must "
                 f"carry majorant pairs, but {problem.g.name!r} has none")
         bound = None
-
     N = max(int(modes), problem.k.modes)
-    u = OddPeriodicFunction.zero(problem.period, N)
-    step_map = _CoefficientMap(problem, N)
-    lam = 0.0
-    path: list[float] = []
-    step = _LAMBDA_STEP
-    max_norm = 0.0
-    step_norms: list[float] = []
-    converged = False
-    failure = None
-    iterations = 0
-    while True:
-        lam_next = lam + step
-        if lam_next >= 1.0 - 1e-12:  # snap the endpoint: accumulation dust
-            lam_next = 1.0
-        u_trial, ok, hist, norms, applied = yield from _damped_picard(
-            step_map, u, lam_next, tol, max_iter_per_step)
-        iterations += applied
-        max_norm = max([max_norm, *norms])
-        if ok:
-            lam = lam_next
-            u = u_trial
-            path.append(lam)
-            step_norms = hist
-            if bound is not None and norms[-1] > bound * (1 + 1e-9) + 10 * tol:
+    return _ContinuationRow(problem, cert, "continuation", np.zeros(N), 0.0,
+                            bound)
+
+
+class _Row:
+    """The bookkeeping of one solve in :func:`_drive`.
+
+    A solve runs in stages.  A stage is Picard iteration on u = lam * map(u)
+    from the coefficients ``start`` until the step norm drops below tol or
+    ``max_iter`` maps are applied; ``hist`` holds its step norms.  A Picard
+    solve is one stage at lam = 1.
+    """
+
+    lam = 1.0
+    continuation = False
+
+    def __init__(self, problem, cert, regime, start, max_norm,
+                 bound=None) -> None:
+        self.problem, self.cert, self.regime = problem, cert, regime
+        self.start, self.max_norm, self.bound = start, max_norm, bound
+        self.map = _CoefficientMap(problem, start.size)
+        self.iterations = 0
+        self.hist: list[float] = []
+        self.step_norms: list[float] = []
+        self.lambda_path: list[float] = []
+        self.converged = False
+        self.failure: str | None = None
+
+    def begin(self, max_iter) -> bool:
+        """Start the first stage; False if the cap allows no map."""
+        if max_iter > 0:
+            return True
+        self.iterations, self.failure = max_iter, "max_iter"
+        return False
+
+    def end_stage(self, converged, blown, b, last_norm, tol, max_iter) -> bool:
+        """Close the running stage at iterate ``b``, whose sup norm is
+        ``last_norm``; True if a next stage starts."""
+        self.start, self.step_norms = b.copy(), self.hist
+        self.converged = converged
+        if not converged:
+            self.failure = "non_finite" if blown else "max_iter"
+        return False
+
+    def report(self) -> SolveReport:
+        u = OddPeriodicFunction(self.problem.period, self.start)
+        return SolveReport(
+            solution=u,
+            iterations=self.iterations,
+            step_norms=self.step_norms,
+            residual=ode_residual(self.problem, u),
+            regime=self.regime,
+            converged=self.converged,
+            failure=self.failure,
+            lambda_path=self.lambda_path,
+            apriori_bound=self.bound,
+            max_iterate_norm=self.max_norm,
+            certificate=self.cert,
+        )
+
+
+class _ContinuationRow(_Row):
+    """A continuation solve: a stage per lam, each climbing ``lam_step``
+    from the last accepted lam and its solution ``start``."""
+
+    continuation = True
+    accepted = 0.0
+    lam_step = _LAMBDA_STEP
+
+    def begin(self, max_iter) -> bool:
+        while True:
+            lam = self.accepted + self.lam_step
+            # snap the endpoint: accumulation dust
+            self.lam = 1.0 if lam >= 1.0 - 1e-12 else lam
+            self.hist = []
+            # with no map allowed, every stage fails at once
+            if max_iter > 0 or not self._halve():
+                return max_iter > 0
+
+    def _halve(self) -> bool:
+        """Halve the lam step after a failed stage; False once it underflows."""
+        self.lam_step *= 0.5
+        if self.lam_step < _MIN_LAMBDA_STEP:
+            self.failure = "step_underflow"
+            return False
+        return True
+
+    def end_stage(self, converged, blown, b, last_norm, tol, max_iter) -> bool:
+        if converged:
+            self.accepted = self.lam
+            self.start, self.step_norms = b.copy(), self.hist
+            self.lambda_path.append(self.lam)
+            if (self.bound is not None
+                    and last_norm > self.bound * (1 + 1e-9) + 10 * tol):
                 raise RuntimeError(
                     "accepted continuation solution violates the a-priori "
                     "bound; this indicates numerical breakdown")
-            if lam >= 1.0:
-                converged = True
-                break
-        else:
-            step *= 0.5
-            if step < _MIN_LAMBDA_STEP:
-                failure = "step_underflow"
-                break
+            if self.lam >= 1.0:
+                self.converged = True
+                return False
+        elif not self._halve():
+            return False
+        return self.begin(max_iter)
 
-    residual = ode_residual(problem, u)
-    return SolveReport(
-        solution=u,
-        iterations=iterations,
-        step_norms=step_norms,
-        residual=residual,
-        regime="continuation",
-        converged=converged,
-        failure=failure,
-        lambda_path=path,
-        apriori_bound=bound,
-        max_iterate_norm=max_norm,
-        certificate=cert,
-    )
+
+def _drive(rows, tol, max_iter) -> list[SolveReport]:
+    """Run the solves ``rows`` together and return their reports.
+
+    The rows of one working size form a :class:`_Batch`, held as
+    (rows x N) arrays.  Each tick makes one map call and one norm call per
+    batch for all its live rows.  Per row, a tick only appends the step
+    norm and, on an undamped continuation row, takes the dot product of
+    the reversal test; the rest runs per row only where a row ends a stage
+    or its solve.
+    """
+    sizes: dict[int, list] = {}
+    for row in rows:
+        if row.begin(max_iter):
+            sizes.setdefault(row.start.size, []).append(row)
+    batches = [_Batch(members) for members in sizes.values()]
+    while batches:
+        for batch in batches:
+            batch.tick(tol, max_iter)
+        batches = [batch for batch in batches if batch.rows]
+    return [row.report() for row in rows]
+
+
+class _Batch:
+    """Live rows of one size: their iterates ``b`` and previous steps as
+    (rows x N) arrays, and per row the stage's lam, the damping theta, the
+    reversal count, the stage's application count and sup|u| so far."""
+
+    def __init__(self, rows) -> None:
+        self.rows = rows
+        self.b = np.array([row.start for row in rows])
+        self.prev = np.zeros_like(self.b)
+        self.forcing = np.array([row.map.forcing for row in rows])
+        self.gains = np.array([row.map.gains for row in rows])
+        self.lam = np.array([row.lam for row in rows])
+        self.theta = np.ones(len(rows))
+        self.reversals = np.zeros(len(rows), dtype=int)
+        self.applied = np.zeros(len(rows), dtype=int)
+        self.max_norm = np.array([row.max_norm for row in rows])
+        self.continuation = np.array([row.continuation for row in rows])
+        self._derive()
+
+    def _derive(self) -> None:
+        """Recompute what follows from the set of live rows: their g call
+        and which of them are Picard rows."""
+        self.g = _row_values([row.map.g for row in self.rows])
+        self.picard = ~self.continuation
+        self.all_picard = self.picard.all()
+
+    def tick(self, tol, max_iter) -> None:
+        """One map application for every live row, then the close of every
+        stage that ends with it."""
+        M, blown = _apply_maps(self.g, self.b, self.forcing, self.gains)
+        self.applied += 1
+        target = M if self.all_picard else self.lam[:, np.newaxis] * M
+        step = target - self.b
+        if not self.all_picard:
+            # the reference loop's reversal test, on each undamped row
+            for i in np.flatnonzero(self.continuation & (self.theta == 1.0)
+                                    & (self.applied > 1)).tolist():
+                if float(np.dot(step[i], self.prev[i])) < 0.0:
+                    self.reversals[i] += 1
+                    if self.reversals[i] >= 3:
+                        self.theta[i] = 0.5
+                else:
+                    self.reversals[i] = 0
+        if self.all_picard:
+            b = M
+        else:
+            b = self.b + self.theta[:, np.newaxis] * step
+            b[self.picard] = target[self.picard]
+        if blown.any():
+            # a blown row keeps its iterate; its stage ends below
+            step[blown] = 0.0
+            b[blown] = self.b[blown]
+        self.prev, self.b = step, b
+        pairs = np.concatenate((step, b))
+        if not np.all(np.isfinite(pairs)):
+            raise ValueError("coeffs must be finite")
+        sups = _sup_norms(pairs)
+        R = len(self.rows)
+        steps = self.theta * sups[:R]
+        np.maximum(self.max_norm, sups[R:], out=self.max_norm, where=~blown)
+        for row, s in zip(self.rows, steps.tolist()):
+            row.hist.append(s)
+        converged = (steps < tol) & ~blown
+        ended = np.flatnonzero(converged | blown | (self.applied >= max_iter))
+        if ended.size:
+            self._end_stages(ended, converged, blown, sups[R:], tol, max_iter)
+
+    def _end_stages(self, ended, converged, blown, norms, tol, max_iter) -> None:
+        keep = np.ones(len(self.rows), dtype=bool)
+        for i in ended.tolist():
+            row = self.rows[i]
+            if blown[i]:
+                row.hist.pop()  # a blown application has no step norm
+            row.iterations += int(self.applied[i])
+            if row.end_stage(bool(converged[i]), bool(blown[i]), self.b[i],
+                             float(norms[i]), tol, max_iter):
+                self.b[i], self.lam[i] = row.start, row.lam
+                self.theta[i], self.reversals[i], self.applied[i] = 1.0, 0, 0
+            else:
+                row.max_norm = float(self.max_norm[i])
+                keep[i] = False
+        if not keep.all():
+            self.rows = [row for row, k in zip(self.rows, keep) if k]
+            for name in ("b", "prev", "forcing", "gains", "lam", "theta",
+                         "reversals", "applied", "max_norm", "continuation"):
+                setattr(self, name, getattr(self, name)[keep])
+            if self.rows:
+                self._derive()
 
 
 def apriori_bound(problem) -> float:

@@ -420,6 +420,37 @@ def test_solution_csv_line_ceiling(tmp_path):
         "message": "cannot read solution file: a line is longer than 1024 characters"}
 
 
+def _reference_cell(value) -> str:
+    """The cell of the csv.writer-based writer the column writer replaced."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    return repr(float(value))
+
+
+@pytest.mark.parametrize("block", [3, 4096])
+def test_csv_writer_matches_csv_module(tmp_path, monkeypatch, block):
+    from oddperiodic import cli
+
+    monkeypatch.setattr(cli, "_CSV_BLOCK", block)
+    floats = [-0.0, 5e-324, -5e-324, 1e-5, 1e16, 1e22, float("nan"),
+              float("inf"), -float("inf"), 0.1, 1.0 / 3.0, 1.7976931348623157e308]
+    n = len(floats)
+    # a solution CSV passes float arrays; a sweep passes columns of Python
+    # floats, bools and ints
+    columns = [np.array(floats), floats[::-1], [i % 3 == 0 for i in range(n)],
+               [i * 10 ** i - 7 for i in range(n)], [-i for i in range(n)]]
+    header = [f"c{i}" for i in range(len(columns))]
+    cli._write_csv(tmp_path / "new.csv", header, columns)
+    with (tmp_path / "ref.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_reference_cell(x) for x in row]
+                         for row in zip(*columns))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 class TestSweep:
     def test_period_sweep_brackets_threshold(self, tmp_path, run_cli):
         cfg = write_config(tmp_path, PENDULUM)

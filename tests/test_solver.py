@@ -8,7 +8,6 @@ import pytest
 from oddperiodic import (
     CertificateError,
     MajorantError,
-    NonFiniteNonlinearityError,
     Nonlinearity,
     OddPeriodicFunction,
     apriori_bound,
@@ -401,6 +400,13 @@ def assert_same_report(batched, single):
                                        single.failure, single.apriori_bound)
 
 
+# finite everywhere, but beyond the 1e300 cap as soon as |u| > 3
+CLIPPED = Nonlinearity("clipped",
+                       lambda x: np.where(np.abs(x) > 3.0, 1e305 * np.sign(x), x),
+                       lambda x: np.where(np.abs(x) > 3.0, 0.0, 1.0),
+                       majorants=((0.0, 1e305),))
+
+
 class TestSolveMany:
     """Rows solved in lockstep must come out bitwise as separate solves."""
 
@@ -439,6 +445,76 @@ class TestSolveMany:
                            solve_continuation(p, modes=32,
                                               max_iter_per_step=10_000))
 
+    def test_every_row_outcome_in_one_batch(self):
+        # one batch of 32 modes whose rows end in each way a row can end
+        max_iter = 30
+        linear = Nonlinearity("linear", lambda x: 0.9 * np.asarray(x),
+                              lambda x: np.full_like(np.asarray(x, dtype=float), 0.9),
+                              gprime_bound=0.9)
+        rows = {
+            "picard converged": pendulum(T=2.0),
+            "picard max_iter": make_problem(T2PI, linear, [(1, 1.0)]),
+            "picard non_finite": make_problem(
+                T2PI, Nonlinearity("sinh", np.sinh, np.cosh), [(1, 50.0)]),
+            # g' < 0: its stages damp, and some fail at max_iter and halve
+            "continuation halved": builtin("tanh_g", {"s": -2.0}, period=6.0,
+                                           forcing=[(1, 0.5)]),
+            "continuation step_underflow": make_problem(T2PI, CLIPPED, [(1, 5.0)]),
+        }
+        reports = dict(zip(rows, solve_many(list(rows.values()), modes=32,
+                                            max_iter=max_iter)))
+        outcomes = {name: (r.regime == "continuation", r.converged, r.failure)
+                    for name, r in reports.items()}
+        assert outcomes == {
+            "picard converged": (False, True, None),
+            "picard max_iter": (False, False, "max_iter"),
+            "picard non_finite": (False, False, "non_finite"),
+            "continuation halved": (True, True, None),
+            "continuation step_underflow": (True, False, "step_underflow"),
+        }
+        halved = reports["continuation halved"]
+        assert len(halved.lambda_path) > 10 and halved.iterations > max_iter
+        # a blown application counts, but has no step norm
+        blown = reports["picard non_finite"]
+        assert blown.iterations == len(blown.step_norms) + 1
+        capped = reports["picard max_iter"]
+        assert capped.iterations == len(capped.step_norms) == max_iter
+        for name, problem in rows.items():
+            assert_same_report(reports[name], solve(problem, modes=32,
+                                                    max_iter=max_iter))
+        u, step_norms, max_norm, iterations = reference_picard(
+            rows["picard converged"], 32, max_iter=max_iter)
+        r = reports["picard converged"]
+        assert np.array_equal(r.solution.coeffs, u.coeffs)
+        assert (r.step_norms, r.max_iterate_norm, r.iterations) == \
+            (step_norms, max_norm, iterations)
+        u, step_norms, max_norm, iterations, path, damped = \
+            reference_continuation(rows["continuation halved"], 32,
+                                   max_iter=max_iter)
+        assert damped > 0
+        assert np.array_equal(halved.solution.coeffs, u.coeffs)
+        assert (halved.step_norms, halved.max_iterate_norm, halved.iterations,
+                halved.lambda_path) == (step_norms, max_norm, iterations, path)
+
+    def test_one_map_call_and_one_norm_call_per_tick(self, monkeypatch):
+        import oddperiodic.solver as solver
+
+        calls = {"_apply_maps": 0, "_sup_norms": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(solver, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(solver, name, counted)
+        base = pendulum()
+        problems = [make_problem(T, base.g, [(1, 0.05)])
+                    for T in np.linspace(1.0, 12.0, 12)]
+        reports = solve_many(problems, modes=64)
+        assert all(r.converged for r in reports)
+        assert {r.regime for r in reports} == {"certified_contraction",
+                                               "continuation"}
+        ticks = max(r.iterations for r in reports)
+        assert calls == {"_apply_maps": ticks, "_sup_norms": ticks}
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             solve(pendulum(), method="newton")
@@ -461,10 +537,12 @@ class TestSolveMany:
         good, bad = pendulum(), builtin("cubic", {"c3": 1.0}, period=T2PI,
                                         forcing=[(1, 1.0)])
         rows = np.array([np.full(16, 0.1), np.full(16, 1e120)])
-        out = _apply_maps([_CoefficientMap(good, 16), _CoefficientMap(bad, 16)],
-                          rows)
+        maps = [_CoefficientMap(good, 16), _CoefficientMap(bad, 16)]
+        out, blown = _apply_maps(_row_values([m.g for m in maps]), rows,
+                                 np.array([m.forcing for m in maps]),
+                                 np.array([m.gains for m in maps]))
         assert np.array_equal(out[0], _CoefficientMap(good, 16)(rows[0]))
-        assert isinstance(out[1], NonFiniteNonlinearityError)
+        assert blown.tolist() == [False, True]
 
 
 class TestSolvePolicy:
@@ -522,20 +600,15 @@ class TestSolvePolicy:
 def test_blown_up_stages_count_their_map_applications(monkeypatch):
     import oddperiodic.solver as solver
 
-    # finite everywhere, but beyond the 1e300 cap as soon as |u| > 3
-    g = Nonlinearity("clipped",
-                     lambda x: np.where(np.abs(x) > 3.0, 1e305 * np.sign(x), x),
-                     lambda x: np.where(np.abs(x) > 3.0, 0.0, 1.0),
-                     majorants=((0.0, 1e305),))
-    p = make_problem(T2PI, g, [(1, 5.0)])
+    p = make_problem(T2PI, CLIPPED, [(1, 5.0)])
     applied, blown = [], []
     apply_maps = solver._apply_maps
 
-    def counting(maps, rows):
-        out = apply_maps(maps, rows)
+    def counting(g, rows, forcing, gains):
+        out, failed = apply_maps(g, rows, forcing, gains)
         applied.append(len(out))
-        blown.extend(o for o in out if isinstance(o, NonFiniteNonlinearityError))
-        return out
+        blown.extend(np.flatnonzero(failed))
+        return out, failed
 
     monkeypatch.setattr(solver, "_apply_maps", counting)
     report = solve_continuation(p, modes=32)
