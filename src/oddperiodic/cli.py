@@ -105,30 +105,20 @@ def _report_outcome(report) -> dict:
     return out
 
 
-# rows of a CSV formatted at once
-_CSV_BLOCK = 4096
-
-
-def _cells(column: np.ndarray) -> list[str]:
-    """The CSV cells of one column: true/false, decimal integers or the
-    shortest decimals that round-trip the doubles."""
+def _cells(column):
+    """The CSV cells of one column, made as they are written: true/false,
+    decimal integers or the shortest decimals that round-trip the doubles."""
+    column = np.asarray(column)
     if column.dtype == bool:
-        return ["true" if v else "false" for v in column.tolist()]
-    if column.dtype.kind in "iu":
-        return list(map(str, column.tolist()))
-    return list(map(repr, column.tolist()))
+        return map({True: "true", False: "false"}.__getitem__, column.tolist())
+    return map(str if column.dtype.kind in "iu" else repr, column.tolist())
 
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
-    """Write ``columns`` under ``header`` as csv.writer would: cells joined
-    by commas, every line ended by CRLF (no cell needs quoting).  Rows are
-    formatted in blocks, so the cells held at once stay bounded."""
-    columns = [np.asarray(column) for column in columns]
     with path.open("w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for lo in range(0, len(columns[0]), _CSV_BLOCK):
-            block = zip(*(_cells(c[lo:lo + _CSV_BLOCK]) for c in columns))
-            fh.write("".join(",".join(cells) + "\r\n" for cells in block))
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*map(_cells, columns)))
 
 
 def cmd_certify(args, cfg, problem):

@@ -187,9 +187,9 @@ def solve_many(problems, *, method: str = "auto", tol: float = DEFAULT_TOL,
     """
     if method not in ("auto", "picard", "continuation"):
         raise ValueError(f"unknown method {method!r}")
-    certs = [_try_certificate(problem) for problem in problems]
     rows = []
-    for problem, cert in zip(problems, certs):
+    for problem in problems:
+        cert = _try_certificate(problem)
         if method == "picard" or (method == "auto" and (
                 cert is not None and cert.holds or not problem.majorants)):
             rows.append(_picard_row(problem, cert, None, tol, modes))
@@ -391,10 +391,9 @@ def _drive(rows, tol, max_iter) -> list[SolveReport]:
 
     The rows of one working size form a :class:`_Batch`, held as
     (rows x N) arrays.  Each tick makes one map call and one norm call per
-    batch for all its live rows.  Per row, a tick only appends the step
-    norm and, on an undamped continuation row, takes the dot product of
-    the reversal test; the rest runs per row only where a row ends a stage
-    or its solve.
+    batch for all its live rows, and updates them and tests them for
+    reversals as whole arrays.  Per row, a tick only appends the step norm;
+    the rest runs per row only where a row ends a stage or its solve.
     """
     sizes: dict[int, list] = {}
     for row in rows:
@@ -409,93 +408,87 @@ def _drive(rows, tol, max_iter) -> list[SolveReport]:
 
 
 class _Batch:
-    """Live rows of one size: their iterates ``b`` and previous steps as
-    (rows x N) arrays, and per row the stage's lam, the damping theta, the
-    reversal count, the stage's application count and sup|u| so far."""
+    """Live rows of one size and their arrays in ``state``: the iterates
+    ``b`` and the previous steps as (rows x N) arrays, and per row its map's
+    forcing and gains, the stage's lam, the damping theta, the reversal
+    count, the stage's application count, sup|u| so far and whether it is
+    a continuation row."""
 
     def __init__(self, rows) -> None:
         self.rows = rows
-        self.b = np.array([row.start for row in rows])
-        self.prev = np.zeros_like(self.b)
-        self.forcing = np.array([row.map.forcing for row in rows])
-        self.gains = np.array([row.map.gains for row in rows])
-        self.lam = np.array([row.lam for row in rows])
-        self.theta = np.ones(len(rows))
-        self.reversals = np.zeros(len(rows), dtype=int)
-        self.applied = np.zeros(len(rows), dtype=int)
-        self.max_norm = np.array([row.max_norm for row in rows])
-        self.continuation = np.array([row.continuation for row in rows])
-        self._derive()
-
-    def _derive(self) -> None:
-        """Recompute what follows from the set of live rows: their g call
-        and which of them are Picard rows."""
-        self.g = _row_values([row.map.g for row in self.rows])
-        self.picard = ~self.continuation
-        self.all_picard = self.picard.all()
+        b = np.array([row.start for row in rows])
+        self.state = {
+            "b": b,
+            "prev": np.zeros_like(b),
+            "forcing": np.array([row.map.forcing for row in rows]),
+            "gains": np.array([row.map.gains for row in rows]),
+            "lam": np.array([row.lam for row in rows]),
+            "theta": np.ones(len(rows)),
+            "reversals": np.zeros(len(rows), dtype=int),
+            "applied": np.zeros(len(rows), dtype=int),
+            "max_norm": np.array([row.max_norm for row in rows]),
+            "continuation": np.array([row.continuation for row in rows]),
+        }
+        self.g = _row_values([row.map.g for row in rows])
 
     def tick(self, tol, max_iter) -> None:
         """One map application for every live row, then the close of every
         stage that ends with it."""
-        M, blown = _apply_maps(self.g, self.b, self.forcing, self.gains)
-        self.applied += 1
-        target = M if self.all_picard else self.lam[:, np.newaxis] * M
-        step = target - self.b
-        if not self.all_picard:
-            # the reference loop's reversal test, on each undamped row
-            for i in np.flatnonzero(self.continuation & (self.theta == 1.0)
-                                    & (self.applied > 1)).tolist():
-                if float(np.dot(step[i], self.prev[i])) < 0.0:
-                    self.reversals[i] += 1
-                    if self.reversals[i] >= 3:
-                        self.theta[i] = 0.5
-                else:
-                    self.reversals[i] = 0
-        if self.all_picard:
-            b = M
-        else:
-            b = self.b + self.theta[:, np.newaxis] * step
-            b[self.picard] = target[self.picard]
+        s = self.state
+        M, blown = _apply_maps(self.g, s["b"], s["forcing"], s["gains"])
+        s["applied"] += 1
+        target = s["lam"][:, np.newaxis] * M
+        step = target - s["b"]
+        # the reference loop's reversal test, on each undamped row; a row
+        # times a column runs np.dot's kernel, so each dot is np.dot's
+        tested = np.flatnonzero(s["continuation"] & (s["theta"] == 1.0)
+                                & (s["applied"] > 1))
+        dots = step[tested, np.newaxis] @ s["prev"][tested, :, np.newaxis]
+        s["reversals"][tested] = np.where(dots[:, 0, 0] < 0.0,
+                                          s["reversals"][tested] + 1, 0)
+        s["theta"][s["reversals"] >= 3] = 0.5
+        b = s["b"] + s["theta"][:, np.newaxis] * step
+        picard = ~s["continuation"]
+        b[picard] = target[picard]
         if blown.any():
             # a blown row keeps its iterate; its stage ends below
             step[blown] = 0.0
-            b[blown] = self.b[blown]
-        self.prev, self.b = step, b
+            b[blown] = s["b"][blown]
+        s["prev"], s["b"] = step, b
         pairs = np.concatenate((step, b))
         if not np.all(np.isfinite(pairs)):
             raise ValueError("coeffs must be finite")
         sups = _sup_norms(pairs)
         R = len(self.rows)
-        steps = self.theta * sups[:R]
-        np.maximum(self.max_norm, sups[R:], out=self.max_norm, where=~blown)
-        for row, s in zip(self.rows, steps.tolist()):
-            row.hist.append(s)
+        steps = s["theta"] * sups[:R]
+        np.maximum(s["max_norm"], sups[R:], out=s["max_norm"], where=~blown)
+        for row, step_norm in zip(self.rows, steps.tolist()):
+            row.hist.append(step_norm)
         converged = (steps < tol) & ~blown
-        ended = np.flatnonzero(converged | blown | (self.applied >= max_iter))
+        ended = np.flatnonzero(converged | blown | (s["applied"] >= max_iter))
         if ended.size:
             self._end_stages(ended, converged, blown, sups[R:], tol, max_iter)
 
     def _end_stages(self, ended, converged, blown, norms, tol, max_iter) -> None:
+        s = self.state
         keep = np.ones(len(self.rows), dtype=bool)
         for i in ended.tolist():
             row = self.rows[i]
             if blown[i]:
                 row.hist.pop()  # a blown application has no step norm
-            row.iterations += int(self.applied[i])
-            if row.end_stage(bool(converged[i]), bool(blown[i]), self.b[i],
+            row.iterations += int(s["applied"][i])
+            if row.end_stage(bool(converged[i]), bool(blown[i]), s["b"][i],
                              float(norms[i]), tol, max_iter):
-                self.b[i], self.lam[i] = row.start, row.lam
-                self.theta[i], self.reversals[i], self.applied[i] = 1.0, 0, 0
+                s["b"][i], s["lam"][i] = row.start, row.lam
+                s["theta"][i], s["reversals"][i], s["applied"][i] = 1.0, 0, 0
             else:
-                row.max_norm = float(self.max_norm[i])
+                row.max_norm = float(s["max_norm"][i])
                 keep[i] = False
         if not keep.all():
             self.rows = [row for row, k in zip(self.rows, keep) if k]
-            for name in ("b", "prev", "forcing", "gains", "lam", "theta",
-                         "reversals", "applied", "max_norm", "continuation"):
-                setattr(self, name, getattr(self, name)[keep])
+            self.state = {name: a[keep] for name, a in s.items()}
             if self.rows:
-                self._derive()
+                self.g = _row_values([row.map.g for row in self.rows])
 
 
 def apriori_bound(problem) -> float:

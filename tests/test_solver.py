@@ -340,14 +340,24 @@ class TestCoefficientLoops:
         assert report.max_iterate_norm == max_norm
         assert report.iterations == iterations
 
-    def test_continuation_matches_series_loop(self):
+    @pytest.mark.parametrize("problem,max_iter,failure", [
         # g' < 0 makes successive steps alternate, so every stage damps
-        p = builtin("tanh_g", {"s": -1.0}, period=3.0, forcing=[(1, 0.5)])
-        report = solve_continuation(p, modes=64)
+        (builtin("tanh_g", {"s": -1.0}, period=3.0, forcing=[(1, 0.5)]),
+         5000, None),
+        # some runs of reversals are broken by a step that does not
+        # reverse, and only three in a row damp a stage
+        (builtin("pendulum", {"a": 4.0}, period=12.0, forcing=[(1, 0.5)]),
+         60, "step_underflow"),
+    ], ids=["tanh", "pendulum-broken-runs"])
+    def test_continuation_matches_series_loop(self, problem, max_iter,
+                                              failure):
+        report = solve_continuation(problem, modes=64,
+                                    max_iter_per_step=max_iter)
         u, step_norms, max_norm, iterations, path, damped = \
-            reference_continuation(p, 64)
+            reference_continuation(problem, 64, max_iter=max_iter)
         assert damped > 0
-        assert report.converged and path[-1] == 1.0
+        assert report.failure == failure
+        assert report.converged == (path[-1] == 1.0) == (failure is None)
         assert np.array_equal(report.solution.coeffs, u.coeffs)
         assert np.array_equal(report.step_norms, step_norms)
         assert report.max_iterate_norm == max_norm
@@ -532,6 +542,16 @@ class TestSolveMany:
         values = _row_values(mixed)(x)
         for g, row, out in zip(mixed, x, values):
             assert np.array_equal(out, g.value(row))
+
+    @pytest.mark.parametrize("modes", [64, 16384])
+    def test_reversal_dots_of_a_batch_equal_np_dot(self, modes):
+        # the driver's reversal test takes each row's dot product as a row
+        # times a column; the reference loop takes np.dot of the pair
+        a, b = np.random.default_rng(modes).normal(size=(2, 20, modes))
+        b[3] = -a[3][::-1]  # a dot that cancels to near zero
+        dots = (a[:, np.newaxis] @ b[..., np.newaxis])[:, 0, 0]
+        for x, y, d in zip(a, b, dots):
+            assert d.tobytes() == np.dot(x, y).tobytes()
 
     def test_a_failing_row_leaves_the_others_alone(self):
         good, bad = pendulum(), builtin("cubic", {"c3": 1.0}, period=T2PI,
