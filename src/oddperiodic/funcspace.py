@@ -331,25 +331,18 @@ def mean(f) -> float:
 
 
 def sup_norm(f) -> float:
-    """Grid maximum of |f| over 8 * modes equispaced points (at least 8).
+    """Grid maximum of |f| over 8 * modes equispaced points.
 
     A lower bound on the true sup norm (the exact maximum of a
     trigonometric polynomial would need root finding).
     """
+    return float(_sup_norms(f.coeffs, isinstance(f, OddPeriodicFunction)))
+
+
+def _sup_norms(rows: np.ndarray, odd: bool = True) -> np.ndarray:
+    """:func:`sup_norm` of each row of coefficients, from one FFT call."""
     # the mirrored half of the grid holds the same values up to sign
-    head = _half_grid(f.coeffs, _norm_points(f.modes),
-                      isinstance(f, OddPeriodicFunction))
-    return float(np.max(np.abs(head)))
-
-
-def _norm_points(modes: int) -> int:
-    """The grid size of :func:`sup_norm`."""
-    return max(8 * modes, 8)
-
-
-def _sup_norms(rows: np.ndarray) -> np.ndarray:
-    """:func:`sup_norm` of each row of sine coefficients, from one FFT call."""
-    return np.max(np.abs(_half_grid(rows, _norm_points(rows.shape[-1]))), axis=-1)
+    return np.max(np.abs(_half_grid(rows, 8 * rows.shape[-1], odd)), axis=-1)
 
 
 def differentiate(f: OddPeriodicFunction, order: int):

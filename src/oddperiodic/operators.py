@@ -7,6 +7,13 @@ the sine basis, mode n picking up the factor -(2*pi*n/T)^2, so inversion is
 exact per mode.  The certified sup-norm bound on the inverse is T^2/2, which
 is what every downstream certificate uses; the actual per-mode gains are far
 smaller, and that slack is reported, never exploited.
+
+The paper writes the problem as Lu = Nu with Lu = u'' and Nu = k - g(u),
+so the solution map is L^-1 N: :func:`fixed_point_map` is
+:func:`invert_second_derivative` of :func:`nonlinear_rhs`.  One batched
+kernel computes N for every row of an array; it serves ``nonlinear_rhs``
+(one row), hence ``fixed_point_map``, and every tick of the solver, which
+multiplies its rows by the per-mode gains of L^-1 in place.
 """
 
 from __future__ import annotations
@@ -93,42 +100,22 @@ def invert_second_derivative(f: OddPeriodicFunction) -> OddPeriodicFunction:
     return OddPeriodicFunction(f.period, _neg_gains(f.period, f.modes) * f.coeffs)
 
 
-class _CoefficientMap:
-    """The solution map on sine-coefficient arrays of ``modes`` modes.
-
-    Takes the coefficients b of u to those of fixed_point_map(u), or with
-    ``invert=False`` of nonlinear_rhs(u), and raises what nonlinear_rhs
-    raises.  The forcing, zero-padded to at least ``modes``, and the
-    inverse gains are built once, for every application.
-    """
-
-    def __init__(self, problem, modes: int, invert: bool = True) -> None:
-        self.g = problem.g
-        self.forcing = np.zeros(max(int(modes), problem.k.modes))
-        self.forcing[:problem.k.modes] = problem.k.coeffs
-        self.gains = _neg_gains(problem.period, self.forcing.size) if invert else 1.0
-
-    def __call__(self, b: np.ndarray) -> np.ndarray:
-        out, blown = _apply_maps(self.g.value, b[np.newaxis],
-                                 self.forcing[np.newaxis], self.gains)
-        if blown[0]:
-            raise NonFiniteNonlinearityError(
-                "g(u) is non-finite (or beyond overflow scale) on the sampling "
-                "grid; the iterate has left the region where this nonlinearity "
-                "can be evaluated")
-        return out[0]
+def _forcing(problem, modes: int) -> np.ndarray:
+    """k's sine coefficients zero-padded to max(modes, k.modes) modes."""
+    forcing = np.zeros(max(int(modes), problem.k.modes))
+    forcing[:problem.k.modes] = problem.k.coeffs
+    return forcing
 
 
-def _apply_maps(g, rows: np.ndarray, forcing: np.ndarray,
-                gains) -> tuple[np.ndarray, np.ndarray]:
-    """The map of each row's problem applied to that row, with one transform
-    of each kind.
+def _nonlinear_parts(g, rows: np.ndarray,
+                     forcing: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """N(u) = k - g(u) for each row u, with one transform of each kind.
 
     ``g`` sends an array of samples to g's values row by row, and row i of
-    ``forcing`` and ``gains`` belongs to row i of ``rows``.  Returns the new
-    coefficients and the mask of rows whose g(u) blew up; a blown row's
-    output is meaningless, and the other rows are what the map alone gives
-    them.  A row whose g(u) is not odd raises OddSymmetryError.
+    ``forcing`` belongs to row i of ``rows``.  Returns the coefficients of
+    N(u) for each row and the mask of rows whose g(u) blew up; a blown
+    row's output is meaningless.  A row whose g(u) is not odd raises
+    OddSymmetryError.
     """
     N = rows.shape[1]
     su = _full_grid(rows, 4 * N)
@@ -150,7 +137,6 @@ def _apply_maps(g, rows: np.ndarray, forcing: np.ndarray,
                           if blown.any() else gu, N)
     out = forcing.copy()
     out[:, :N] -= analysis
-    out *= gains
     return out, blown
 
 
@@ -160,12 +146,14 @@ def _check_period(problem, u: OddPeriodicFunction) -> None:
 
 
 def nonlinear_rhs(problem, u: OddPeriodicFunction) -> OddPeriodicFunction:
-    """k - g(u) as an odd periodic function at u's truncation order.
+    """N(u) = k - g(u) as an odd periodic function of max(u.modes, k.modes)
+    modes.
 
-    g(u) is sampled on a 2x oversampled grid (4N points for N modes) to
+    g(u) is sampled on a 2x oversampled grid (4N points for N = u.modes) to
     absorb the spectral spreading of the composition, then projected back to
-    N modes.  The samples are checked for odd symmetry before projection;
-    failure means g is not actually odd and the problem definition is bad.
+    N modes; k's modes above N pass through.  The samples are checked for
+    odd symmetry before projection; failure means g is not actually odd and
+    the problem definition is bad.
 
     Raises
     ------
@@ -176,15 +164,20 @@ def nonlinear_rhs(problem, u: OddPeriodicFunction) -> OddPeriodicFunction:
         1e-10 * (1 + max|u|) + 1e-13 * max|g(u)| over the sampling grid.
     """
     _check_period(problem, u)
-    rhs = _CoefficientMap(problem, u.modes, invert=False)
-    return OddPeriodicFunction(problem.period, rhs(u.coeffs))
+    out, blown = _nonlinear_parts(problem.g.value, u.coeffs[np.newaxis],
+                                  _forcing(problem, u.modes)[np.newaxis])
+    if blown[0]:
+        raise NonFiniteNonlinearityError(
+            "g(u) is non-finite (or beyond overflow scale) on the sampling "
+            "grid; the iterate has left the region where this nonlinearity "
+            "can be evaluated")
+    return OddPeriodicFunction(problem.period, out[0])
 
 
 def fixed_point_map(problem, u: OddPeriodicFunction) -> OddPeriodicFunction:
-    """One application of the solution map: invert u'' = k - g(u).
+    """One application of the solution map L^-1 N: invert u'' = k - g(u).
 
-    Solutions of u'' + g(u) = k are exactly the fixed points of this map.
+    The result has max(u.modes, k.modes) modes.  Solutions of
+    u'' + g(u) = k are exactly the fixed points of this map.
     """
-    _check_period(problem, u)
-    step = _CoefficientMap(problem, u.modes)
-    return OddPeriodicFunction(problem.period, step(u.coeffs))
+    return invert_second_derivative(nonlinear_rhs(problem, u))

@@ -37,9 +37,10 @@ import numpy as np
 
 from .funcspace import OddPeriodicFunction, _sup_norms, sup_norm
 from .operators import (
-    _apply_maps,
     _check_period,
-    _CoefficientMap,
+    _forcing,
+    _neg_gains,
+    _nonlinear_parts,
     inverse_norm_bound,
 )
 from .oracle import ode_residual
@@ -187,14 +188,15 @@ def solve_many(problems, *, method: str = "auto", tol: float = DEFAULT_TOL,
     """
     if method not in ("auto", "picard", "continuation"):
         raise ValueError(f"unknown method {method!r}")
+    _check_limits(tol, max_iter)
     rows = []
     for problem in problems:
         cert = _try_certificate(problem)
         if method == "picard" or (method == "auto" and (
                 cert is not None and cert.holds or not problem.majorants)):
-            rows.append(_picard_row(problem, cert, None, tol, modes))
+            rows.append(_picard_row(problem, cert, None, modes))
         else:
-            rows.append(_continuation_row(problem, cert, tol, modes))
+            rows.append(_continuation_row(problem, cert, modes))
     return _drive(rows, tol, max_iter)
 
 
@@ -218,8 +220,8 @@ def solve_picard(problem, *, initial_guess: OddPeriodicFunction | None = None,
     modes : int
         Working truncation order (raised to the forcing's order if needed).
     """
-    row = _picard_row(problem, _try_certificate(problem), initial_guess, tol,
-                      modes)
+    _check_limits(tol, max_iter)
+    row = _picard_row(problem, _try_certificate(problem), initial_guess, modes)
     (report,) = _drive([row], tol, max_iter)
     return report
 
@@ -244,20 +246,24 @@ def solve_continuation(problem, *, tol: float = DEFAULT_TOL,
     stage solution is checked against it; a violation would mean numerical
     breakdown and raises ``RuntimeError``.
     """
-    row = _continuation_row(problem, _try_certificate(problem), tol, modes)
+    _check_limits(tol, max_iter_per_step)
+    row = _continuation_row(problem, _try_certificate(problem), modes)
     (report,) = _drive([row], tol, max_iter_per_step)
     return report
 
 
-def _check_tol(tol) -> None:
-    """The one tol check of both solve methods."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+def _check_limits(tol, max_iter) -> None:
+    """The one check of both solve methods' limits, made before a problem
+    is looked at."""
+    if not 0 < tol < float("inf"):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if not max_iter >= 1:
+        raise ValueError(f"the iteration cap must be at least 1, "
+                         f"got {max_iter!r}")
 
 
-def _picard_row(problem, cert, initial_guess, tol, modes) -> _Row:
+def _picard_row(problem, cert, initial_guess, modes) -> _Row:
     """The Picard solve of :func:`solve_picard` as a row of :func:`_drive`."""
-    _check_tol(tol)
     N = max(int(modes), problem.k.modes)
     if initial_guess is None:
         u = OddPeriodicFunction.zero(problem.period, N)
@@ -269,9 +275,8 @@ def _picard_row(problem, cert, initial_guess, tol, modes) -> _Row:
     return _Row(problem, cert, regime, u.coeffs, sup_norm(u))
 
 
-def _continuation_row(problem, cert, tol, modes) -> _ContinuationRow:
+def _continuation_row(problem, cert, modes) -> _ContinuationRow:
     """The solve of :func:`solve_continuation` as a row of :func:`_drive`."""
-    _check_tol(tol)
     try:
         bound = apriori_bound(problem)
     except MajorantError:
@@ -301,7 +306,6 @@ class _Row:
                  bound=None) -> None:
         self.problem, self.cert, self.regime = problem, cert, regime
         self.start, self.max_norm, self.bound = start, max_norm, bound
-        self.map = _CoefficientMap(problem, start.size)
         self.iterations = 0
         self.hist: list[float] = []
         self.step_norms: list[float] = []
@@ -309,14 +313,7 @@ class _Row:
         self.converged = False
         self.failure: str | None = None
 
-    def begin(self, max_iter) -> bool:
-        """Start the first stage; False if the cap allows no map."""
-        if max_iter > 0:
-            return True
-        self.iterations, self.failure = max_iter, "max_iter"
-        return False
-
-    def end_stage(self, converged, blown, b, last_norm, tol, max_iter) -> bool:
+    def end_stage(self, converged, blown, b, last_norm, tol) -> bool:
         """Close the running stage at iterate ``b``, whose sup norm is
         ``last_norm``; True if a next stage starts."""
         self.start, self.step_norms = b.copy(), self.hist
@@ -348,27 +345,10 @@ class _ContinuationRow(_Row):
 
     continuation = True
     accepted = 0.0
-    lam_step = _LAMBDA_STEP
+    # the first stage climbs from lam = 0
+    lam = lam_step = _LAMBDA_STEP
 
-    def begin(self, max_iter) -> bool:
-        while True:
-            lam = self.accepted + self.lam_step
-            # snap the endpoint: accumulation dust
-            self.lam = 1.0 if lam >= 1.0 - 1e-12 else lam
-            self.hist = []
-            # with no map allowed, every stage fails at once
-            if max_iter > 0 or not self._halve():
-                return max_iter > 0
-
-    def _halve(self) -> bool:
-        """Halve the lam step after a failed stage; False once it underflows."""
-        self.lam_step *= 0.5
-        if self.lam_step < _MIN_LAMBDA_STEP:
-            self.failure = "step_underflow"
-            return False
-        return True
-
-    def end_stage(self, converged, blown, b, last_norm, tol, max_iter) -> bool:
+    def end_stage(self, converged, blown, b, last_norm, tol) -> bool:
         if converged:
             self.accepted = self.lam
             self.start, self.step_norms = b.copy(), self.hist
@@ -381,24 +361,31 @@ class _ContinuationRow(_Row):
             if self.lam >= 1.0:
                 self.converged = True
                 return False
-        elif not self._halve():
-            return False
-        return self.begin(max_iter)
+        else:
+            self.lam_step *= 0.5
+            if self.lam_step < _MIN_LAMBDA_STEP:
+                self.failure = "step_underflow"
+                return False
+        lam = self.accepted + self.lam_step
+        # snap the endpoint: accumulation dust
+        self.lam = 1.0 if lam >= 1.0 - 1e-12 else lam
+        self.hist = []
+        return True
 
 
 def _drive(rows, tol, max_iter) -> list[SolveReport]:
     """Run the solves ``rows`` together and return their reports.
 
     The rows of one working size form a :class:`_Batch`, held as
-    (rows x N) arrays.  Each tick makes one map call and one norm call per
-    batch for all its live rows, and updates them and tests them for
-    reversals as whole arrays.  Per row, a tick only appends the step norm;
-    the rest runs per row only where a row ends a stage or its solve.
+    (rows x N) arrays.  Each tick makes one call of the kernel for N and
+    one norm call per batch for all its live rows, and updates them and
+    tests them for reversals as whole arrays.  Per row, a tick only appends
+    the step norm; the rest runs per row only where a row ends a stage or
+    its solve.
     """
     sizes: dict[int, list] = {}
     for row in rows:
-        if row.begin(max_iter):
-            sizes.setdefault(row.start.size, []).append(row)
+        sizes.setdefault(row.start.size, []).append(row)
     batches = [_Batch(members) for members in sizes.values()]
     while batches:
         for batch in batches:
@@ -409,19 +396,21 @@ def _drive(rows, tol, max_iter) -> list[SolveReport]:
 
 class _Batch:
     """Live rows of one size and their arrays in ``state``: the iterates
-    ``b`` and the previous steps as (rows x N) arrays, and per row its map's
-    forcing and gains, the stage's lam, the damping theta, the reversal
-    count, the stage's application count, sup|u| so far and whether it is
-    a continuation row."""
+    ``b`` and the previous steps as (rows x N) arrays, and per row its
+    forcing and the gains of the inverse, the stage's lam, the damping
+    theta, the reversal count, the stage's application count, sup|u| so far
+    and whether it is a continuation row."""
 
     def __init__(self, rows) -> None:
         self.rows = rows
         b = np.array([row.start for row in rows])
+        N = b.shape[1]
         self.state = {
             "b": b,
             "prev": np.zeros_like(b),
-            "forcing": np.array([row.map.forcing for row in rows]),
-            "gains": np.array([row.map.gains for row in rows]),
+            "forcing": np.array([_forcing(row.problem, N) for row in rows]),
+            "gains": np.array([_neg_gains(row.problem.period, N)
+                               for row in rows]),
             "lam": np.array([row.lam for row in rows]),
             "theta": np.ones(len(rows)),
             "reversals": np.zeros(len(rows), dtype=int),
@@ -429,13 +418,14 @@ class _Batch:
             "max_norm": np.array([row.max_norm for row in rows]),
             "continuation": np.array([row.continuation for row in rows]),
         }
-        self.g = _row_values([row.map.g for row in rows])
+        self.g = _row_values([row.problem.g for row in rows])
 
     def tick(self, tol, max_iter) -> None:
         """One map application for every live row, then the close of every
         stage that ends with it."""
         s = self.state
-        M, blown = _apply_maps(self.g, s["b"], s["forcing"], s["gains"])
+        M, blown = _nonlinear_parts(self.g, s["b"], s["forcing"])
+        M *= s["gains"]
         s["applied"] += 1
         target = s["lam"][:, np.newaxis] * M
         step = target - s["b"]
@@ -467,9 +457,9 @@ class _Batch:
         converged = (steps < tol) & ~blown
         ended = np.flatnonzero(converged | blown | (s["applied"] >= max_iter))
         if ended.size:
-            self._end_stages(ended, converged, blown, sups[R:], tol, max_iter)
+            self._end_stages(ended, converged, blown, sups[R:], tol)
 
-    def _end_stages(self, ended, converged, blown, norms, tol, max_iter) -> None:
+    def _end_stages(self, ended, converged, blown, norms, tol) -> None:
         s = self.state
         keep = np.ones(len(self.rows), dtype=bool)
         for i in ended.tolist():
@@ -478,7 +468,7 @@ class _Batch:
                 row.hist.pop()  # a blown application has no step norm
             row.iterations += int(s["applied"][i])
             if row.end_stage(bool(converged[i]), bool(blown[i]), s["b"][i],
-                             float(norms[i]), tol, max_iter):
+                             float(norms[i]), tol):
                 s["b"][i], s["lam"][i] = row.start, row.lam
                 s["theta"][i], s["reversals"][i], s["applied"][i] = 1.0, 0, 0
             else:
@@ -488,7 +478,7 @@ class _Batch:
             self.rows = [row for row, k in zip(self.rows, keep) if k]
             self.state = {name: a[keep] for name, a in s.items()}
             if self.rows:
-                self.g = _row_values([row.map.g for row in self.rows])
+                self.g = _row_values([row.problem.g for row in self.rows])
 
 
 def apriori_bound(problem) -> float:

@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import jv
 
@@ -19,6 +21,7 @@ from oddperiodic import (
     invert_second_derivative,
     nonlinear_rhs,
     mean,
+    solve_picard,
     sup_norm,
 )
 
@@ -154,3 +157,31 @@ class TestFixedPointMap:
         u1 = fixed_point_map(p, u0)
         exact = OddPeriodicFunction(T2PI, [-1.0]).with_modes(8)
         assert sup_norm(u1 - exact) < 1e-14
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from([("pendulum", "a"), ("tanh_g", "s"),
+                                   ("linear", "c")]),
+           param=st.floats(-2.0, 2.0),
+           period=st.floats(0.5, 20.0),
+           amplitudes=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=8),
+           u_modes=st.sampled_from(["fewer", "as many", "more"]),
+           data=st.data())
+    def test_map_is_inverse_of_rhs_at_the_larger_order(
+            self, family, param, period, amplitudes, u_modes, data):
+        name, key = family
+        forcing = list(enumerate(amplitudes, start=1))
+        p = builtin(name, {key: param}, period=period, forcing=forcing)
+        K = p.k.modes
+        N = {"fewer": K - 1, "as many": K, "more": 2 * K}[u_modes]
+        u = OddPeriodicFunction(period, data.draw(
+            st.lists(st.floats(-2.0, 2.0), min_size=N, max_size=N)))
+        mapped = fixed_point_map(p, u)
+        rhs = nonlinear_rhs(p, u)
+        assert mapped.modes == rhs.modes == max(N, K)
+        composed = invert_second_derivative(rhs)
+        assert mapped.coeffs.tobytes() == composed.coeffs.tobytes()
+        if N >= K:
+            # the solver's tick runs the same kernel: one Picard step from u
+            # (a shorter u is padded to k's order before the step)
+            step = solve_picard(p, initial_guess=u, max_iter=1, modes=1)
+            assert step.solution.coeffs.tobytes() == mapped.coeffs.tobytes()

@@ -18,6 +18,7 @@ from oddperiodic import (
     from_samples,
     grid_samples,
     make_problem,
+    nonlinear_rhs,
     shoot,
     solve,
     solve_continuation,
@@ -26,7 +27,7 @@ from oddperiodic import (
     sup_norm,
     uniqueness_probe,
 )
-from oddperiodic.operators import _apply_maps, _CoefficientMap
+from oddperiodic.operators import _forcing, _nonlinear_parts
 from oddperiodic.problems import FAMILIES, _row_values
 
 T2PI = 2.0 * np.pi
@@ -193,6 +194,21 @@ class TestSolveContinuation:
         for method in ("picard", "continuation"):
             with pytest.raises(ValueError, match="tol must be positive"):
                 solve(p, method=method, tol=-1)
+
+
+class TestSolveLimits:
+    """The library refuses the limits the CLI refuses (bad_tol,
+    bad_max_iter) instead of reporting on them."""
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda p: solve(p, max_iter=-3), "iteration cap"),
+        (lambda p: solve(p, tol=float("inf")), "tol must be positive"),
+        (lambda p: solve_continuation(p, max_iter_per_step=0), "iteration cap"),
+    ], ids=["negative_max_iter", "infinite_tol", "zero_cap_per_stage"])
+    def test_refused(self, call, match):
+        p = builtin("tanh_g", {"s": 1.0}, period=T2PI, forcing=[(1, 0.5)])
+        with pytest.raises(ValueError, match=match):
+            call(p)
 
 
 class TestAprioriBound:
@@ -509,7 +525,7 @@ class TestSolveMany:
     def test_one_map_call_and_one_norm_call_per_tick(self, monkeypatch):
         import oddperiodic.solver as solver
 
-        calls = {"_apply_maps": 0, "_sup_norms": 0}
+        calls = {"_nonlinear_parts": 0, "_sup_norms": 0}
         for name in calls:
             def counted(*args, _name=name, _fn=getattr(solver, name)):
                 calls[_name] += 1
@@ -523,7 +539,7 @@ class TestSolveMany:
         assert {r.regime for r in reports} == {"certified_contraction",
                                                "continuation"}
         ticks = max(r.iterations for r in reports)
-        assert calls == {"_apply_maps": ticks, "_sup_norms": ticks}
+        assert calls == {"_nonlinear_parts": ticks, "_sup_norms": ticks}
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
@@ -557,11 +573,11 @@ class TestSolveMany:
         good, bad = pendulum(), builtin("cubic", {"c3": 1.0}, period=T2PI,
                                         forcing=[(1, 1.0)])
         rows = np.array([np.full(16, 0.1), np.full(16, 1e120)])
-        maps = [_CoefficientMap(good, 16), _CoefficientMap(bad, 16)]
-        out, blown = _apply_maps(_row_values([m.g for m in maps]), rows,
-                                 np.array([m.forcing for m in maps]),
-                                 np.array([m.gains for m in maps]))
-        assert np.array_equal(out[0], _CoefficientMap(good, 16)(rows[0]))
+        out, blown = _nonlinear_parts(
+            _row_values([good.g, bad.g]), rows,
+            np.array([_forcing(good, 16), _forcing(bad, 16)]))
+        u = OddPeriodicFunction(T2PI, rows[0])
+        assert out[0].tobytes() == nonlinear_rhs(good, u).coeffs.tobytes()
         assert blown.tolist() == [False, True]
 
 
@@ -622,15 +638,15 @@ def test_blown_up_stages_count_their_map_applications(monkeypatch):
 
     p = make_problem(T2PI, CLIPPED, [(1, 5.0)])
     applied, blown = [], []
-    apply_maps = solver._apply_maps
+    nonlinear_parts = solver._nonlinear_parts
 
-    def counting(g, rows, forcing, gains):
-        out, failed = apply_maps(g, rows, forcing, gains)
+    def counting(g, rows, forcing):
+        out, failed = nonlinear_parts(g, rows, forcing)
         applied.append(len(out))
         blown.extend(np.flatnonzero(failed))
         return out, failed
 
-    monkeypatch.setattr(solver, "_apply_maps", counting)
+    monkeypatch.setattr(solver, "_nonlinear_parts", counting)
     report = solve_continuation(p, modes=32)
     assert report.failure == "step_underflow" and blown
     assert report.iterations == sum(applied)
