@@ -21,6 +21,7 @@ import json
 import math
 import sys
 import time
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,8 @@ EXIT_NO_CONV = 4
 EXIT_VERIFY = 5
 
 CSV_HEADER = ["t", "u", "u_prime", "residual_pointwise"]
+# the CSV writer formats this many rows at a time
+CSV_BLOCK_ROWS = 1024
 SWEEP_COLUMNS = ["param", "lambda", "holds", "converged", "iterations",
                  "solution_norm", "residual", "oracle_distance"]
 MAX_SWEEP_STEPS = 10_000
@@ -115,10 +118,18 @@ def _cells(column):
 
 
 def _write_csv(path: Path, header: list[str], columns) -> None:
+    """The header, then the rows in blocks of CSV_BLOCK_ROWS: each block is
+    one string, so at most one block of cells exists at a time.  No cell
+    needs quoting, so a row is its cells joined by commas, as csv.writer
+    writes it."""
+    columns = [np.asarray(column) for column in columns]
+    rows = min(map(len, columns), default=0)
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*map(_cells, columns)))
+        csv.writer(fh).writerow(header)
+        for first in range(0, rows, CSV_BLOCK_ROWS):
+            block = [_cells(column[first:first + CSV_BLOCK_ROWS])
+                     for column in columns]
+            fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
 
 
 def cmd_certify(args, cfg, problem):
@@ -170,22 +181,28 @@ def _read_solution_csv(path: Path, problem):
         if header != CSV_HEADER:
             raise ProblemError("bad_document",
                                f"unexpected CSV header {header!r}")
-        rows = [[float(x) for x in row]
-                for row in itertools.islice(reader, max_rows + 1)]
-    if len(rows) > max_rows:
+        # the numbers go straight into one float64 buffer, row after row
+        numbers = array("d")
+        rows, ragged = 0, False
+        for row in itertools.islice(reader, max_rows + 1):
+            numbers.extend(map(float, row))
+            rows += 1
+            ragged |= len(row) != 4
+    if rows > max_rows:
         raise ProblemError("bad_document", f"more than {max_rows} rows")
-    if len(rows) < 4 or len(rows) % 2 or any(len(row) != 4 for row in rows):
+    if rows < 4 or rows % 2 or ragged:
         raise ProblemError("bad_document",
                            "need an even number (>= 4) of rows of 4 numbers")
-    data = np.asarray(rows)
-    expected_t = np.arange(len(rows)) * (problem.period / len(rows))
+    data = np.frombuffer(numbers).reshape(rows, 4)
+    expected_t = np.arange(rows) * (problem.period / rows)
     if not np.all(np.abs(data[:, 0] - expected_t) <= 1e-9 * problem.period):
         raise ProblemError(
             "bad_document",
             "CSV time column is not the uniform grid j*T/P for this problem")
     if not np.all(np.isfinite(data[:, 1])):
         raise ProblemError("bad_document", "CSV u column must be finite")
-    return data[:, 1]
+    # a copy, so the buffer is freed on return
+    return data[:, 1].copy()
 
 
 def _verdict(problem, u_col, tol: float) -> dict:

@@ -3,9 +3,13 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
+import random
+import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -448,6 +452,200 @@ def test_csv_writer_formats_columns_as_cells(tmp_path):
                          for row in zip(*columns))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
+
+# the row counts around the writer's block boundaries
+BLOCK_ROW_COUNTS = [1, 1023, 1024, 1025, 3 * 1024 + 7]
+# where repr switches notation, signed zero, subnormals and non-finite values
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+               1e-5, 9.999999999999999e-06, 1.0000000000000002e-05, 1e-4,
+               1e16, 9999999999999998.0, 1.0000000000000002e16, 1e22,
+               float("nan"), float("inf"), -float("inf")]
+CELL_VALUES = {
+    "float": st.floats() | st.sampled_from(EDGE_FLOATS),
+    "int": st.integers(-2**63, 2**63 - 1),
+    "bool": st.booleans(),
+}
+
+
+@st.composite
+def _csv_columns(draw, rows):
+    """Columns of ``rows`` cells, each of floats, ints or bools and each an
+    array or a Python list, as the solution and sweep CSVs pass them."""
+    # the rows pick from small drawn pools, so that the example stays small
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(sorted(CELL_VALUES)),
+                              min_size=1, max_size=6)):
+        pool = draw(st.lists(CELL_VALUES[kind], min_size=1, max_size=32))
+        column = rnd.choices(pool, k=rows)
+        columns.append(np.array(column) if draw(st.booleans()) else column)
+    return columns
+
+
+@pytest.mark.parametrize("rows", BLOCK_ROW_COUNTS + [None])
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_block_writer_matches_csv_writer(tmp_path, rows, data):
+    """_write_csv gives the bytes of csv.writer over the same cells, header
+    included; ``rows=None`` draws a small row count."""
+    from oddperiodic import cli
+
+    if rows is None:
+        rows = data.draw(st.integers(1, 40))
+    columns = data.draw(_csv_columns(rows))
+    header = data.draw(st.lists(st.text(st.sampled_from('tu_ ,"\n'), max_size=4),
+                                min_size=len(columns), max_size=len(columns)))
+    cli._write_csv(tmp_path / "new.csv", header, columns)
+    with (tmp_path / "ref.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*map(cli._cells, columns)))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _reference_read_solution_csv(path: Path, problem):
+    """The list-of-rows reader that _read_solution_csv replaced, kept as the
+    reference for its results and errors."""
+    from oddperiodic import cli
+    from oddperiodic.cli import CSV_HEADER, ProblemError, _lines
+
+    # solve writes at most 4 * MAX_MODES rows, each one line of 4 unquoted
+    # numbers (about 100 characters): refuse a longer line or one row more
+    max_rows = 4 * cli.MAX_MODES
+    with path.open(newline="") as fh:
+        reader = csv.reader(_lines(fh, 1024), quoting=csv.QUOTE_NONE)
+        header = next(reader, None)
+        if header != CSV_HEADER:
+            raise ProblemError("bad_document",
+                               f"unexpected CSV header {header!r}")
+        rows = [[float(x) for x in row]
+                for row in itertools.islice(reader, max_rows + 1)]
+    if len(rows) > max_rows:
+        raise ProblemError("bad_document", f"more than {max_rows} rows")
+    if len(rows) < 4 or len(rows) % 2 or any(len(row) != 4 for row in rows):
+        raise ProblemError("bad_document",
+                           "need an even number (>= 4) of rows of 4 numbers")
+    data = np.asarray(rows)
+    expected_t = np.arange(len(rows)) * (problem.period / len(rows))
+    if not np.all(np.abs(data[:, 0] - expected_t) <= 1e-9 * problem.period):
+        raise ProblemError(
+            "bad_document",
+            "CSV time column is not the uniform grid j*T/P for this problem")
+    if not np.all(np.isfinite(data[:, 1])):
+        raise ProblemError("bad_document", "CSV u column must be finite")
+    return data[:, 1]
+
+
+def _read_outcome(reader, path, problem):
+    """The u column's bytes, or the type, message and code of the error."""
+    try:
+        return reader(path, problem).tobytes()
+    except Exception as exc:  # the error is the outcome
+        return type(exc), str(exc), getattr(exc, "code", None)
+
+
+FUZZ_CELLS = ["abc", '"0.5"', "", " 1.5 ", "1_0", "nan", "1e999"]
+
+
+def _rarely(draw) -> bool:
+    return draw(st.sampled_from([False, False, False, True]))
+
+
+@st.composite
+def _fuzzed_solution(draw):
+    """The lines of a valid 8-row solution (header first) with some of its
+    cells, row widths, row count, line ends and bytes changed."""
+    lines = [",".join(row) for row in csv.reader(io.StringIO(_solution_csv()))]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        row, col = draw(st.integers(1, 8)), draw(st.integers(0, 3))
+        cells = lines[row].split(",")
+        cells[col] = draw(st.sampled_from(FUZZ_CELLS))
+        lines[row] = ",".join(cells)
+    if _rarely(draw):
+        row = draw(st.integers(1, 8))
+        cells = lines[row].split(",")
+        lines[row] = ",".join(cells[:3] if draw(st.booleans()) else cells + ["0.0"])
+    if _rarely(draw):  # one or two rows more: odd, or over a ceiling of 8
+        lines += lines[1:1 + draw(st.integers(1, 2))]
+    if _rarely(draw):
+        del lines[-1]
+    if _rarely(draw):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    if _rarely(draw):
+        row = draw(st.integers(0, len(lines) - 1))
+        at = draw(st.integers(0, len(lines[row])))
+        lines[row] = lines[row][:at] + "\0" + lines[row][at:]
+    if _rarely(draw):
+        row = draw(st.integers(0, len(lines) - 1))
+        lines[row] = (lines[row] + ",0" * 600)[:1025]
+    ends = draw(st.sampled_from(["\n", "\r\n", "\r", "mixed"]))
+    return "".join(
+        line + (draw(st.sampled_from(["\n", "\r\n", "\r"])) if ends == "mixed" else ends)
+        for line in lines)
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_fuzzed_solution(), ceiling=st.booleans())
+@example(text=_solution_csv(_set_u("nan")), ceiling=False)
+@example(text=_solution_csv(_set_u("1e999")), ceiling=False)
+@example(text=_solution_csv(_set_u(" 1.5 ")), ceiling=False)
+def test_solution_reader_matches_list_reader(tmp_path, text, ceiling):
+    """On fuzzed files the buffered reader returns the reference reader's u
+    column bit for bit, or raises its error with the same message."""
+    from oddperiodic import cli
+    from oddperiodic.problems import parse_problem
+
+    problem = parse_problem(ZERO)
+    path = tmp_path / "u.csv"
+    path.write_bytes(text.encode())
+    # MAX_MODES = 2 puts the row ceiling at 8 rows
+    with mock.patch.object(cli, "MAX_MODES", 2 if ceiling else cli.MAX_MODES):
+        expected = _read_outcome(_reference_read_solution_csv, path, problem)
+        assert _read_outcome(cli._read_solution_csv, path, problem) == expected
+
+
+def _traced_peak(fn, *args) -> int:
+    """The peak of traced Python allocations, in bytes, while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _solution_columns(rows):
+    """The four columns of the closed-form solution of ZERO on ``rows``
+    points."""
+    t = np.arange(rows) * (T2PI / rows)
+    return [t, -np.sin(t), -np.cos(t), np.zeros(rows)]
+
+
+# Writing or reading a solution of 8192 rows holds one block of cells or one
+# float64 buffer; a Python object per cell takes about 1.2 MB to write them
+# and 2.0 MB to read them.
+def test_solution_csv_write_memory_is_one_block(tmp_path):
+    from oddperiodic import cli
+
+    columns = _solution_columns(8192)
+    peak = _traced_peak(cli._write_csv, tmp_path / "u.csv", cli.CSV_HEADER,
+                        columns)
+    assert peak < 512 * 1024
+
+
+def test_solution_csv_read_memory_is_one_buffer(tmp_path):
+    from oddperiodic import cli
+    from oddperiodic.problems import parse_problem
+
+    problem = parse_problem(ZERO)
+    columns = _solution_columns(8192)
+    path = tmp_path / "u.csv"
+    cli._write_csv(path, cli.CSV_HEADER, columns)
+    assert _traced_peak(cli._read_solution_csv, path, problem) < 768 * 1024
+    np.testing.assert_array_equal(cli._read_solution_csv(path, problem),
+                                  columns[1])
 
 class TestSweep:
     def test_period_sweep_brackets_threshold(self, tmp_path, run_cli):

@@ -7,7 +7,8 @@ Usage:
 Each argument is a ``src`` directory that holds the ``oddperiodic``
 package.  The script runs one fixed set of CLI commands (below) once per
 tree, with that tree first on ``PYTHONPATH``, each tree in its own
-temporary directory holding a copy of ``configs/``.  It then compares what
+temporary directory holding a copy of ``configs/`` and a fixed set of
+malformed solution files for ``verify`` to refuse.  It then compares what
 the two runs left: every record on stdout, every stderr, every exit code,
 and every CSV and sidecar written.  The only part left out is the
 ``wall_time_s`` field of records and sidecars.  The names of the files that
@@ -19,6 +20,8 @@ time each; on two cores the whole set takes about 30 s.
 
 from __future__ import annotations
 
+import json
+import math
 import os
 import re
 import shutil
@@ -39,6 +42,34 @@ def _sweep(name, param, start, stop, steps, modes, *extra):
     return ["sweep", f"configs/{name}.json", "--param", param,
             "--from", str(start), "--to", str(stop), "--steps", str(steps),
             "--modes", str(modes), *extra]
+
+
+def malformed_solutions() -> dict[str, str]:
+    """Solution files with one defect each, by file name: each starts from
+    the closed-form solution u = -sin t of ``configs/zero.json`` on 8
+    points."""
+    period = json.loads((CONFIGS / "zero.json").read_text())["period"]
+    t = [j * period / 8 for j in range(8)]
+    header = "t,u,u_prime,residual_pointwise"
+    rows = [f"{tj!r},{-math.sin(tj)!r},{-math.cos(tj)!r},0.0" for tj in t]
+    t3, u3, rest3 = rows[3].split(",", 2)
+
+    def text(*lines):
+        return "".join(line + "\n" for line in lines)
+
+    def row3(line):
+        return text(header, *rows[:3], line, *rows[4:])
+
+    return {
+        "bad_five_cells.csv": row3(rows[3] + ",0.0"),
+        "bad_five_cells_abc.csv": row3(rows[3] + ",abc"),
+        "bad_quoted_u.csv": row3(f'{t3},"{u3}",{rest3}'),
+        "bad_header.csv": text("t,u,u_prime", *rows),
+        "bad_odd_rows.csv": text(header, *rows[:7]),
+        "bad_long_line.csv": row3((rows[3] + ",0" * 600)[:1025]),
+        "bad_nul_byte.csv": row3(f"{t3},\0{u3},{rest3}"),
+        "bad_blank_line.csv": text(header, *rows[:4], "", *rows[4:]),
+    }
 
 
 def commands() -> list[list[str]]:
@@ -70,6 +101,9 @@ def commands() -> list[list[str]]:
         for method in ("picard", "continuation"):
             cmds.append(["solve", cfg, "--method", method, "--modes", "128",
                          "--out", f"{name}_{method}.csv"])
+    # the reader's error records
+    cmds += [["verify", "configs/zero.json", name]
+             for name in malformed_solutions()]
     return cmds
 
 
@@ -77,6 +111,8 @@ def run_all(src: Path, workdir: Path) -> None:
     """Run every command with ``src`` first on PYTHONPATH, in ``workdir``;
     command i leaves ``cmd_i.stdout``, ``cmd_i.stderr`` and ``cmd_i.exit``."""
     shutil.copytree(CONFIGS, workdir / "configs")
+    for name, text in malformed_solutions().items():
+        (workdir / name).write_bytes(text.encode())
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p)
