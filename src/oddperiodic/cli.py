@@ -213,6 +213,9 @@ def _verdict(problem, u_col, tol: float) -> dict:
     except OddSymmetryError as exc:
         return {"passed": False, "verdict": "not_odd_periodic",
                 "defect": exc.defect, "tolerance": exc.tol}
+    except ValueError as exc:  # finite samples whose coefficients overflow
+        raise ProblemError("bad_document",
+                           f"the u column has no finite sine series: {exc}") from None
     try:
         cv = cross_validate(problem, u, tol=tol)
     except OracleInconclusiveError as exc:

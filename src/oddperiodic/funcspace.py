@@ -250,6 +250,9 @@ def grid_samples(f, n_points: int) -> np.ndarray:
     return _full_grid(f.coeffs, P, isinstance(f, OddPeriodicFunction))
 
 
+# samples near overflow give an infinite defect or coefficient, refused below
+# or by OddPeriodicFunction; numpy's floating-point warnings would repeat it
+@np.errstate(over="ignore", invalid="ignore")
 def from_samples(samples, period: float) -> OddPeriodicFunction:
     """Sine-analyze uniform full-period samples of an odd periodic function.
 
@@ -274,7 +277,8 @@ def from_samples(samples, period: float) -> OddPeriodicFunction:
         If the odd-symmetry defect exceeds 1e-8 * max|sample| (the data is
         not in the working space).
     ValueError
-        For non-finite samples or odd or too-short sample counts.
+        For non-finite samples or coefficients, or odd or too-short sample
+        counts.
     """
     s = np.asarray(samples, dtype=float)
     if s.ndim != 1 or s.size < 4 or s.size % 2:

@@ -18,6 +18,7 @@ an independent route to the same solutions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -116,6 +117,15 @@ def _default_steps(t_end: float, period: float) -> int:
     return max(16, math.ceil(_STEPS_PER_PERIOD * t_end / period))
 
 
+@functools.lru_cache(maxsize=1)
+def _forcing_samples(problem, t_end: float, steps: int) -> tuple[list, list]:
+    """k at the nodes and midpoints of the grid h = t_end/steps, as floats;
+    kept for the last grid, so the shots of one shooting solve share them."""
+    h = t_end / steps
+    t = h * np.arange(steps + 1)
+    return problem.k(t).tolist(), problem.k(t[:-1] + 0.5 * h).tolist()
+
+
 def integrate_ivp(problem, u0: float, v0: float, t_end: float,
                   steps: int | None = None) -> Trajectory:
     """Classical 4th-order Runge-Kutta for u' = v, v' = k(t) - g(u).
@@ -137,10 +147,8 @@ def integrate_ivp(problem, u0: float, v0: float, t_end: float,
         raise ValueError("steps must be >= 16")
     h = t_end / steps
     t = h * np.arange(steps + 1)
-    # forcing values at nodes and midpoints are fixed by the grid; hoisting
-    # them out of the loop keeps repeated shooting evaluations cheap
-    k_node = problem.k(t).tolist()
-    k_half = problem.k(t[:-1] + 0.5 * h).tolist()
+    # forcing values at nodes and midpoints are fixed by the grid
+    k_node, k_half = _forcing_samples(problem, t_end, steps)
     value = problem.g.value
 
     # stepping on Python floats and hoisting the step fractions leaves every
@@ -409,6 +417,8 @@ def shooting_distances(problems, candidates) -> list[float]:
     The first midpoints of all rows are shot in one vectorized RK4 loop; a
     row whose midpoint misses goes on as :func:`shoot` does from there.
     """
+    if not problems:
+        return []
     brackets = [_slope_bracket(u) for u in candidates]
     u_mid, t_escape = _integrate_rows(
         problems, [0.0] * len(problems), [0.5 * (a + b) for a, b in brackets],

@@ -14,9 +14,10 @@ Built-in families (parameter name in brackets):
     tanh_g [s]      g = s*tanh(x)   bound |s|,  majorant (0, |s|)
     cubic [c3]      g = c3*x^3      no bound, no majorant (negative-test family)
 
-All declared metadata is verified on a symmetric probe grid at construction;
-the probe covers a compact window scaled by the a-priori solution bound when
-one is available (the hypotheses are stated globally, the check is not -- a
+Construction derives the contraction certificate and the a-priori solution
+bound once, and verifies all declared metadata on a symmetric probe grid;
+the probe covers a compact window scaled by the a-priori bound when one is
+available (the hypotheses are stated globally, the check is not -- a
 documented limitation).  Custom nonlinearities may be supplied as (value,
 derivative) callable pairs and are validated the same way.
 """
@@ -31,9 +32,11 @@ from typing import Callable
 
 import numpy as np
 
-from .funcspace import OddPeriodicFunction
+from .funcspace import OddPeriodicFunction, sup_norm
+from .operators import inverse_norm_bound
 
 __all__ = [
+    "ContractionCertificate",
     "Nonlinearity",
     "Problem",
     "ProblemError",
@@ -90,6 +93,29 @@ def _period(value) -> float:
             "bad_period",
             f"period must be positive with finite T^2 and 2/T^2, got {period}")
     return period
+
+
+@dataclass(frozen=True)
+class ContractionCertificate:
+    """The uniqueness certificate: lambda = sup|g'| * T^2/2.
+
+    ``holds`` is equivalent to sup|g'| < 2/T^2.  When it holds, Picard
+    iteration is guaranteed to converge to the unique odd periodic solution
+    and successive step norms contract at least by ``factor``.
+    """
+
+    lipschitz_g: float
+    norm_bound: float
+    factor: float
+    holds: bool
+
+    def as_dict(self) -> dict:
+        return {
+            "lipschitz_g": self.lipschitz_g,
+            "norm_bound": self.norm_bound,
+            "lambda": self.factor,
+            "holds": self.holds,
+        }
 
 
 @dataclass(frozen=True)
@@ -198,7 +224,9 @@ class Problem:
     g(0) = 0 and g(-x) = -g(x) on a symmetric probe grid, the declared
     derivative bound dominates the sampled |g'|, and each declared majorant
     pair holds pointwise.  The forcing is odd, periodic and mean-zero by
-    type.  Instances are immutable after validation and safe to share.
+    type.  Validation derives ``certificate`` and ``apriori_bound``, each
+    None where g declares no bound or no usable majorant pair.  Instances
+    are immutable after validation and safe to share.
     """
 
     def __init__(self, period: float, g: Nonlinearity, k: OddPeriodicFunction,
@@ -225,31 +253,32 @@ class Problem:
     def majorants(self) -> tuple:
         return self.g.majorants
 
-    def _probe_radius(self) -> float:
-        # Scale the probe window with the a-priori solution bound when the
-        # declared majorants make one available.
-        from .solver import MajorantError, apriori_bound
-
-        try:
-            scale = apriori_bound(self)
-        except (MajorantError, ProblemError):
-            scale = 0.0
-        return 10.0 * (1.0 + scale)
-
     # every non-finite probe value is refused below, by a check that says
     # so; numpy's floating-point warnings would only repeat it
     @np.errstate(all="ignore")
     def _validate_g(self) -> None:
         g = self.g
-        # refused before they overflow downstream: a negative bound or a
-        # certificate factor lambda = sup|g'| * T^2/2 (formed as certify forms
-        # it) that is not finite, and a probe radius that is not finite
-        if g.gprime_bound is not None and not 0.0 <= float(
-                g.gprime_bound) * (self.period * self.period / 2.0) < math.inf:
-            raise ProblemError("bad_derivative_bound",
-                               f"sup|g'| bound {g.gprime_bound} must be >= 0 and give a "
-                               f"finite lambda = bound * T^2/2 at period {self.period}")
-        R = self._probe_radius()
+        nb = inverse_norm_bound(self.period).certified_bound
+        # the contraction certificate lambda = sup|g'| * T^2/2, refused
+        # before it overflows downstream when it is negative or not finite
+        self.certificate = None
+        if g.gprime_bound is not None:
+            factor = float(g.gprime_bound) * nb
+            if not 0.0 <= factor < math.inf:
+                raise ProblemError("bad_derivative_bound",
+                                   f"sup|g'| bound {g.gprime_bound} must be >= 0 and give a "
+                                   f"finite lambda = bound * T^2/2 at period {self.period}")
+            self.certificate = ContractionCertificate(
+                float(g.gprime_bound), nb, factor, factor < 1.0)
+        # the a-priori bound on sup|u|: the least (T^2/2) * (sup|k| + M) /
+        # (1 - eps * T^2/2) over the majorant pairs with eps < 2/T^2; the
+        # probe window scales with it.  A NaN eps is not skipped: its NaN
+        # bound is refused as a probe radius that is not finite.
+        k_norm = sup_norm(self.k)
+        self.apriori_bound = min(
+            (nb * (k_norm + M) / denom for eps, M in g.majorants
+             if not (denom := 1.0 - eps * nb) <= 0.0), default=None)
+        R = 10.0 * (1.0 + (self.apriori_bound or 0.0))
         if not math.isfinite(2.0 * R):  # the width of the probe grid
             raise ProblemError("bad_forcing", "the a-priori solution bound "
                                "(the probe radius) is not finite")

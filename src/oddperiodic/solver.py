@@ -6,8 +6,9 @@ Two regimes, matching the two existence results the library implements:
   u -> invert_second_derivative(k - g(u)) is a contraction with factor
   lambda = (T^2/2) * sup|g'| < 1, so plain Picard iteration converges to the
   unique odd periodic solution from any start, with step norms shrinking at
-  least geometrically with ratio lambda.  :func:`certify` computes the
-  certificate; :func:`solve_picard` runs the iteration.
+  least geometrically with ratio lambda.  :func:`certify` returns the
+  certificate the problem derived at validation; :func:`solve_picard` runs
+  the iteration.
 
 * **Sublinear continuation.**  When g is merely sublinear (|g(x)| <= M(eps)
   + eps*|x| for declared majorant pairs), a solution still exists and every
@@ -36,15 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .funcspace import OddPeriodicFunction, _sup_norms, sup_norm
-from .operators import (
-    _check_period,
-    _forcing,
-    _neg_gains,
-    _nonlinear_parts,
-    inverse_norm_bound,
-)
+from .operators import _check_period, _forcing, _neg_gains, _nonlinear_parts
 from .oracle import ode_residual
-from .problems import _row_values
+from .problems import ContractionCertificate, _row_values
 
 __all__ = [
     "ContractionCertificate",
@@ -76,29 +71,6 @@ class CertificateError(ValueError):
 
 class MajorantError(ValueError):
     """No declared majorant pair is usable at this period."""
-
-
-@dataclass(frozen=True)
-class ContractionCertificate:
-    """The uniqueness certificate: lambda = sup|g'| * T^2/2.
-
-    ``holds`` is equivalent to sup|g'| < 2/T^2.  When it holds, Picard
-    iteration is guaranteed to converge to the unique odd periodic solution
-    and successive step norms contract at least by ``factor``.
-    """
-
-    lipschitz_g: float
-    norm_bound: float
-    factor: float
-    holds: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "lipschitz_g": self.lipschitz_g,
-            "norm_bound": self.norm_bound,
-            "lambda": self.factor,
-            "holds": self.holds,
-        }
 
 
 @dataclass
@@ -136,33 +108,19 @@ class ProbeResult:
 
 
 def certify(problem) -> ContractionCertificate:
-    """Evaluate the contraction certificate lambda = sup|g'| * T^2/2.
+    """The contraction certificate lambda = sup|g'| * T^2/2 that the
+    problem derived at validation.
 
     Raises
     ------
     CertificateError
         If no derivative bound is declared for g (e.g. the cubic family).
     """
-    bound = problem.gprime_bound
-    if bound is None:
+    if problem.certificate is None:
         raise CertificateError(
             f"no sup|g'| bound is available for g = {problem.g.name!r}; "
             "the contraction certificate cannot be evaluated")
-    norm_bound = inverse_norm_bound(problem.period).certified_bound
-    factor = float(bound) * norm_bound
-    return ContractionCertificate(
-        lipschitz_g=float(bound),
-        norm_bound=norm_bound,
-        factor=factor,
-        holds=factor < 1.0,
-    )
-
-
-def _try_certificate(problem) -> ContractionCertificate | None:
-    try:
-        return certify(problem)
-    except CertificateError:
-        return None
+    return problem.certificate
 
 
 def solve(problem, *, method: str = "auto", tol: float = DEFAULT_TOL,
@@ -182,8 +140,8 @@ def solve_many(problems, *, method: str = "auto", tol: float = DEFAULT_TOL,
 
     ``method`` is ``picard``, ``continuation`` (``max_iter`` caps each
     stage) or ``auto``: Picard where the contraction certificate holds or
-    g declares no majorant, continuation otherwise.  Each problem's
-    certificate is computed once and carried by its report.  The rows of
+    g declares no majorant, continuation otherwise.  Each report carries
+    the certificate its problem derived at validation.  The rows of
     one working size step together as one array (see :func:`_drive`).
     """
     if method not in ("auto", "picard", "continuation"):
@@ -191,12 +149,12 @@ def solve_many(problems, *, method: str = "auto", tol: float = DEFAULT_TOL,
     _check_limits(tol, max_iter)
     rows = []
     for problem in problems:
-        cert = _try_certificate(problem)
+        cert = problem.certificate
         if method == "picard" or (method == "auto" and (
                 cert is not None and cert.holds or not problem.majorants)):
-            rows.append(_picard_row(problem, cert, None, modes))
+            rows.append(_picard_row(problem, None, modes))
         else:
-            rows.append(_continuation_row(problem, cert, modes))
+            rows.append(_continuation_row(problem, modes))
     return _drive(rows, tol, max_iter)
 
 
@@ -221,7 +179,7 @@ def solve_picard(problem, *, initial_guess: OddPeriodicFunction | None = None,
         Working truncation order (raised to the forcing's order if needed).
     """
     _check_limits(tol, max_iter)
-    row = _picard_row(problem, _try_certificate(problem), initial_guess, modes)
+    row = _picard_row(problem, initial_guess, modes)
     (report,) = _drive([row], tol, max_iter)
     return report
 
@@ -247,7 +205,7 @@ def solve_continuation(problem, *, tol: float = DEFAULT_TOL,
     breakdown and raises ``RuntimeError``.
     """
     _check_limits(tol, max_iter_per_step)
-    row = _continuation_row(problem, _try_certificate(problem), modes)
+    row = _continuation_row(problem, modes)
     (report,) = _drive([row], tol, max_iter_per_step)
     return report
 
@@ -262,7 +220,7 @@ def _check_limits(tol, max_iter) -> None:
                          f"got {max_iter!r}")
 
 
-def _picard_row(problem, cert, initial_guess, modes) -> _Row:
+def _picard_row(problem, initial_guess, modes) -> _Row:
     """The Picard solve of :func:`solve_picard` as a row of :func:`_drive`."""
     N = max(int(modes), problem.k.modes)
     if initial_guess is None:
@@ -270,24 +228,21 @@ def _picard_row(problem, cert, initial_guess, modes) -> _Row:
     else:
         u = initial_guess.with_modes(max(N, initial_guess.modes))
         _check_period(problem, u)
+    cert = problem.certificate
     regime = ("certified_contraction" if cert is not None and cert.holds
               else "uncertified_picard")
-    return _Row(problem, cert, regime, u.coeffs, sup_norm(u))
+    return _Row(problem, regime, u.coeffs, sup_norm(u))
 
 
-def _continuation_row(problem, cert, modes) -> _ContinuationRow:
+def _continuation_row(problem, modes) -> _ContinuationRow:
     """The solve of :func:`solve_continuation` as a row of :func:`_drive`."""
-    try:
-        bound = apriori_bound(problem)
-    except MajorantError:
-        if not problem.majorants:
-            raise MajorantError(
-                "continuation requires a sublinearity declaration: g must "
-                f"carry majorant pairs, but {problem.g.name!r} has none")
-        bound = None
+    if not problem.majorants:
+        raise MajorantError(
+            "continuation requires a sublinearity declaration: g must "
+            f"carry majorant pairs, but {problem.g.name!r} has none")
     N = max(int(modes), problem.k.modes)
-    return _ContinuationRow(problem, cert, "continuation", np.zeros(N), 0.0,
-                            bound)
+    return _ContinuationRow(problem, "continuation", np.zeros(N), 0.0,
+                            problem.apriori_bound)
 
 
 class _Row:
@@ -302,9 +257,8 @@ class _Row:
     lam = 1.0
     continuation = False
 
-    def __init__(self, problem, cert, regime, start, max_norm,
-                 bound=None) -> None:
-        self.problem, self.cert, self.regime = problem, cert, regime
+    def __init__(self, problem, regime, start, max_norm, bound=None) -> None:
+        self.problem, self.regime = problem, regime
         self.start, self.max_norm, self.bound = start, max_norm, bound
         self.iterations = 0
         self.hist: list[float] = []
@@ -335,7 +289,7 @@ class _Row:
             lambda_path=self.lambda_path,
             apriori_bound=self.bound,
             max_iterate_norm=self.max_norm,
-            certificate=self.cert,
+            certificate=self.problem.certificate,
         )
 
 
@@ -433,7 +387,10 @@ class _Batch:
         # times a column runs np.dot's kernel, so each dot is np.dot's
         tested = np.flatnonzero(s["continuation"] & (s["theta"] == 1.0)
                                 & (s["applied"] > 1))
-        dots = step[tested, np.newaxis] @ s["prev"][tested, :, np.newaxis]
+        # the dot of huge steps may overflow to inf or nan, which the
+        # comparison below takes as it comes
+        with np.errstate(over="ignore", invalid="ignore"):
+            dots = step[tested, np.newaxis] @ s["prev"][tested, :, np.newaxis]
         s["reversals"][tested] = np.where(dots[:, 0, 0] < 0.0,
                                           s["reversals"][tested] + 1, 0)
         s["theta"][s["reversals"] >= 3] = 0.5
@@ -482,7 +439,8 @@ class _Batch:
 
 
 def apriori_bound(problem) -> float:
-    """Explicit bound on sup|u| for every solution of the scaled family.
+    """Explicit bound on sup|u| for every solution of the scaled family,
+    as the problem derived it at validation.
 
     For each declared majorant pair (eps, M) with eps < 2/T^2, every u
     solving u = lam * map(u) for some lam in (0, 1] satisfies
@@ -496,21 +454,11 @@ def apriori_bound(problem) -> float:
     MajorantError
         If no pair is declared or every declared eps >= 2/T^2.
     """
-    nb = inverse_norm_bound(problem.period).certified_bound
-    k_norm = sup_norm(problem.k)
-    best = None
-    for eps, M in problem.majorants:
-        denom = 1.0 - eps * nb
-        if denom <= 0.0:
-            continue
-        value = nb * (k_norm + M) / denom
-        if best is None or value < best:
-            best = value
-    if best is None:
+    if problem.apriori_bound is None:
         raise MajorantError(
             f"no usable majorant at period {problem.period:g}: need a "
             f"declared pair with eps < {2.0 / problem.period ** 2:.6g}")
-    return best
+    return problem.apriori_bound
 
 
 def uniqueness_probe(problem, trials: int, *, tol: float = DEFAULT_TOL,

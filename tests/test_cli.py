@@ -351,9 +351,18 @@ def _solution_csv(edit=lambda rows: rows, points=8) -> str:
     return "".join(",".join(row) + "\n" for row in lines)
 
 
-def _set_u(value):
+def _set_u(value, at=(3,)):
     def edit(rows):
-        rows[3][1] = value
+        for j in at:
+            rows[j][1] = value
+        return rows
+    return edit
+
+
+def _scale_u(factor):
+    def edit(rows):
+        for row in rows:
+            row[1] = repr(float(row[1]) * factor)
         return rows
     return edit
 
@@ -375,6 +384,11 @@ INPUT_FILES = {
         lambda rows: [[r[0], f'"{r[1]}"'] + r[2:] for r in rows]), 2),
     "csv_finite_spike": (
         json.dumps(ZERO), _solution_csv(_set_u("0.25")), 5),
+    # finite and odd, but its sine coefficients overflow
+    "csv_near_max_u": (json.dumps(ZERO), _solution_csv(_scale_u(1e308)), 2),
+    # finite, but its odd-symmetry defect u(t) + u(T - t) overflows
+    "csv_near_max_even_u": (
+        json.dumps(ZERO), _solution_csv(_set_u("1e308", at=(3, 5))), 5),
     "csv_intact": (json.dumps(ZERO), _solution_csv(), 0),
 }
 
@@ -759,14 +773,31 @@ class TestInputContract:
             assert res.stderr == ""
 
 
+@pytest.mark.parametrize("override,argv,code", [
+    ({"family": "pendulum", "params": {"a": 0.04}, "period": 1e150},
+     ["solve", "--modes", "32", "--max-iter", "50", "--out", "u.csv"], 4),
+    ({"family": "linear", "params": {"c": 0.01},
+      "forcing": [{"mode": 1, "amplitude": 1e200}]},
+     ["compare", "--modes", "32"], 5),
+], ids=["solve_huge_period", "compare_huge_forcing"])
+def test_overflowing_continuation_step_prints_no_warning(tmp_path, run_cli,
+                                                         override, argv, code):
+    # continuation steps large enough that the reversal test's dot
+    # overflows (a sweep of linear c = 1 over periods 1..9 meets it too,
+    # in about 25 s)
+    cfg = write_config(tmp_path, dict(ZERO, **override))
+    res = run_cli(argv[0], cfg, *argv[1:], cwd=tmp_path)
+    assert res.returncode == code and res.stderr == ""
+
+
 def test_sweep_row_takes_one_certificate_and_one_residual(tmp_path,
                                                           monkeypatch):
     import oddperiodic
     import oddperiodic.oracle as oracle
     import oddperiodic.solver as solver
-    from oddperiodic import cli
+    from oddperiodic import Problem, cli
 
-    calls = {"certify": 0, "pointwise_residual": 0}
+    calls = {"certify": 0, "pointwise_residual": 0, "_validate_g": 0}
 
     def counted(home, name):
         # rebound wherever the name is bound, so every call is seen
@@ -782,6 +813,13 @@ def test_sweep_row_takes_one_certificate_and_one_residual(tmp_path,
 
     counted(solver, "certify")
     counted(oracle, "pointwise_residual")
+    validate = Problem._validate_g
+
+    def counted_validate(self):
+        calls["_validate_g"] += 1
+        return validate(self)
+
+    monkeypatch.setattr(Problem, "_validate_g", counted_validate)
     cfg = write_config(tmp_path, PENDULUM)
     out = tmp_path / "s.csv"
     with contextlib.redirect_stdout(io.StringIO()) as stdout:
@@ -791,7 +829,9 @@ def test_sweep_row_takes_one_certificate_and_one_residual(tmp_path,
     assert code == 0
     rows = read_record(stdout.getvalue())["outcome"]["rows"]
     assert len(rows) == 6 and {r["holds"] for r in rows} == {True, False}
-    assert calls == {"certify": 6, "pointwise_residual": 6}
+    # the certificate is derived by the validation of the base config and
+    # of each row, and the sweep reads it there without calling certify
+    assert calls == {"certify": 0, "pointwise_residual": 6, "_validate_g": 7}
 
 
 def test_param_sweep_validates_each_row_once(tmp_path, monkeypatch):

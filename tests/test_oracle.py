@@ -193,6 +193,18 @@ class TestShoot:
                               integrate_ivp(p, 0.0, m, np.pi, steps=steps).u)
         assert shot.boundary_defect == shot.trajectory.u[-1] == fm
 
+    def test_bisection_synthesizes_the_forcing_once(self, monkeypatch):
+        # k is sampled at the nodes and the midpoints of the first shot's
+        # grid; every later shot of the solve reuses those samples
+        calls = []
+        original = OddPeriodicFunction.__call__
+        monkeypatch.setattr(OddPeriodicFunction, "__call__",
+                            lambda f, t: calls.append(f) or original(f, t))
+        p = zero_problem()
+        shot = shoot(p, (-2.0, 0.5))
+        assert abs(shot.v0 + 1.0) < 1e-10  # u = -sin t
+        assert len(calls) <= 2 and all(f is p.k for f in calls)
+
     def test_reconstruction_quality_invariants(self):
         p = builtin("pendulum", {"a": 0.04}, period=T2PI, forcing=[(1, 0.05)])
         tol = 1e-11  # the boundary tolerance of shoot
@@ -357,6 +369,9 @@ class TestBatchedShots:
         with pytest.raises(BlowUpError):
             cross_validate(cubic, candidates[-1])
         assert np.isnan(distances[-1])
+
+    def test_no_rows(self):
+        assert shooting_distances([], []) == []
 
     def test_a_lone_row_that_escapes(self):
         cubic = builtin("cubic", {"c3": -1.0}, period=T2PI, forcing=[(1, 1.0)])

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import struct
 import warnings
 
 import numpy as np
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 from oddperiodic import cli, problems
 from oddperiodic import (
     MAX_MODES,
+    CertificateError,
+    ContractionCertificate,
     MajorantError,
     Nonlinearity,
     OddPeriodicFunction,
@@ -21,8 +24,10 @@ from oddperiodic import (
     apriori_bound,
     builtin,
     certify,
+    inverse_norm_bound,
     make_problem,
     parse_problem,
+    sup_norm,
 )
 
 T2PI = 2.0 * np.pi
@@ -385,6 +390,115 @@ def test_one_validation_pass_per_config(monkeypatch, override):
     assert calls == {"validate_g": 1}
     assert p.gprime_bound == override.get("derivative_bound", 0.04)
     assert len(p.majorants) == 1 + len(override.get("majorants", []))
+
+
+@pytest.mark.parametrize("pairs,code", [
+    (((np.nan, 0.0),), "bad_forcing"),
+    (((0.0, np.nan),), "bad_forcing"),
+    (((0.0, 1.0), (np.nan, 0.0)), "bad_majorant"),
+    (((np.inf, 0.0),), "bad_majorant"),
+    (((-np.inf, 0.0),), "bad_majorant"),
+], ids=["nan_eps", "nan_M", "nan_eps_after_a_usable_pair", "inf_eps", "-inf_eps"])
+def test_non_finite_majorant_is_refused_in_check_order(pairs, code):
+    # a NaN bound from the first pair is refused as the probe radius,
+    # before the majorant checks; an unusable or later pair by those checks
+    g = Nonlinearity("p", lambda x: 0.04 * np.sin(x), lambda x: 0.04 * np.cos(x),
+                     gprime_bound=0.04, majorants=pairs)
+    with pytest.raises(ProblemError) as e:
+        make_problem(T2PI, g, [(1, 0.05)])
+    assert e.value.code == code
+
+
+def reference_certificate(problem) -> ContractionCertificate:
+    """``certify`` as it formed the certificate before problems carried it."""
+    bound = problem.gprime_bound
+    if bound is None:
+        raise CertificateError(
+            f"no sup|g'| bound is available for g = {problem.g.name!r}; "
+            "the contraction certificate cannot be evaluated")
+    norm_bound = inverse_norm_bound(problem.period).certified_bound
+    factor = float(bound) * norm_bound
+    return ContractionCertificate(
+        lipschitz_g=float(bound),
+        norm_bound=norm_bound,
+        factor=factor,
+        holds=factor < 1.0,
+    )
+
+
+def reference_apriori_bound(problem) -> float:
+    """``apriori_bound`` as it formed the bound before problems carried it."""
+    nb = inverse_norm_bound(problem.period).certified_bound
+    k_norm = sup_norm(problem.k)
+    best = None
+    for eps, M in problem.majorants:
+        denom = 1.0 - eps * nb
+        if denom <= 0.0:
+            continue
+        value = nb * (k_norm + M) / denom
+        if best is None or value < best:
+            best = value
+    if best is None:
+        raise MajorantError(
+            f"no usable majorant at period {problem.period:g}: need a "
+            f"declared pair with eps < {2.0 / problem.period ** 2:.6g}")
+    return best
+
+
+def _bits(value):
+    """A float's bits, so that -0.0 and 0.0 differ and NaN equals NaN."""
+    return struct.pack("<d", value)
+
+
+def _outcome(call, problem):
+    """What ``call(problem)`` returns, or its error's type and message."""
+    try:
+        return call(problem)
+    except (CertificateError, MajorantError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(family=st.sampled_from(sorted(problems.FAMILIES)),
+       param=st.floats(-3.0, 3.0) | st.sampled_from([0.0, -0.0, 1e-300]),
+       period=st.floats(1e-3, 50.0) | st.sampled_from([T2PI, 1e-150, 1e150]),
+       forcing=st.lists(st.tuples(st.integers(1, 8), st.floats(-10.0, 10.0)),
+                        max_size=3, unique_by=lambda pair: pair[0]),
+       bound=st.none() | st.floats(0.0, 10.0) | st.sampled_from([-0.0, 1e300]),
+       # eps as a share of the threshold 2/T^2: below 1 the pair is usable
+       majorants=st.lists(st.tuples(st.floats(0.0, 1.5), st.floats(0.0, 20.0)),
+                          max_size=2))
+def test_problem_derives_the_reference_certificate_and_bound(
+        family, param, period, forcing, bound, majorants):
+    cfg = {"family": family,
+           "params": {name: param for name in problems.FAMILIES[family][1]},
+           "period": period,
+           "forcing": [{"mode": m, "amplitude": a} for m, a in forcing],
+           "majorants": [{"eps": share * 2.0 / period ** 2, "M": M}
+                         for share, M in majorants]}
+    if bound is not None:
+        cfg["derivative_bound"] = bound
+    try:
+        p = parse_problem(cfg)
+    except ProblemError:
+        return
+    cert = _outcome(certify, p)
+    assert cert == _outcome(reference_certificate, p)
+    if p.certificate is None:
+        assert cert[0] is CertificateError
+    else:
+        assert cert is p.certificate
+        ref = reference_certificate(p)
+        assert [_bits(x) for x in (p.certificate.lipschitz_g,
+                                   p.certificate.norm_bound,
+                                   p.certificate.factor)] == [
+            _bits(x) for x in (ref.lipschitz_g, ref.norm_bound, ref.factor)]
+    bound_outcome = _outcome(apriori_bound, p)
+    reference = _outcome(reference_apriori_bound, p)
+    if p.apriori_bound is None:
+        assert bound_outcome == reference and reference[0] is MajorantError
+    else:
+        assert _bits(bound_outcome) == _bits(reference) == _bits(p.apriori_bound)
 
 
 # --- the input contract, fuzzed -------------------------------------------

@@ -7,8 +7,10 @@ Usage:
 Each argument is a ``src`` directory that holds the ``oddperiodic``
 package.  The script runs one fixed set of CLI commands (below) once per
 tree, with that tree first on ``PYTHONPATH``, each tree in its own
-temporary directory holding a copy of ``configs/`` and a fixed set of
-malformed solution files for ``verify`` to refuse.  It then compares what
+temporary directory holding a copy of ``configs/``, a fixed set of
+malformed solution files for ``verify`` to refuse and a fixed set of
+configs that take the error and override paths of a problem's certificate
+and a-priori bound.  It then compares what
 the two runs left: every record on stdout, every stderr, every exit code,
 and every CSV and sidecar written.  The only part left out is the
 ``wall_time_s`` field of records and sidecars.  The names of the files that
@@ -38,8 +40,8 @@ WALL_TIME = re.compile(rb',?\s*"wall_time_s": [^,\n}]+')
 TIMEOUT_S = 600
 
 
-def _sweep(name, param, start, stop, steps, modes, *extra):
-    return ["sweep", f"configs/{name}.json", "--param", param,
+def _sweep(cfg, param, start, stop, steps, modes, *extra):
+    return ["sweep", cfg, "--param", param,
             "--from", str(start), "--to", str(stop), "--steps", str(steps),
             "--modes", str(modes), *extra]
 
@@ -72,22 +74,42 @@ def malformed_solutions() -> dict[str, str]:
     }
 
 
+def derived_constant_configs() -> dict[str, str]:
+    """Configs by file name, each ``configs/pendulum.json`` with one
+    override: a certificate or a-priori bound that overflows, majorants
+    that are refused or unusable at the base period 2*pi, and both
+    overrides at once."""
+    base = json.loads((CONFIGS / "pendulum.json").read_text())
+    overrides = {
+        "derived_huge_bound.json": {"derivative_bound": 1e308},
+        "derived_huge_amplitude.json": {
+            "forcing": [{"mode": 1, "amplitude": 1e308}]},
+        "derived_negative_M.json": {"majorants": [{"eps": 0.0, "M": -1.0}]},
+        "derived_negative_eps.json": {"majorants": [{"eps": -1.0, "M": 0.0}]},
+        "derived_unusable_eps.json": {"majorants": [{"eps": 1.0, "M": 0.0}]},
+        "derived_both_overrides.json": {
+            "derivative_bound": 0.05, "majorants": [{"eps": 0.0, "M": 0.04}]},
+    }
+    return {name: json.dumps(dict(base, **override))
+            for name, override in overrides.items()}
+
+
 def commands() -> list[list[str]]:
     """The command set: each argv runs as ``python -m oddperiodic argv``."""
     cmds = [
         # the three threshold_sweep ranges, across each certificate threshold
-        _sweep("pendulum", "period", 1.0, 12.0, 40, 64),
-        _sweep("tanh", "period", 0.5, 6.0, 40, 64),
-        _sweep("linear_small", "period", 2.0, 20.0, 40, 64),
+        _sweep("configs/pendulum.json", "period", 1.0, 12.0, 40, 64),
+        _sweep("configs/tanh.json", "period", 0.5, 6.0, 40, 64),
+        _sweep("configs/linear_small.json", "period", 2.0, 20.0, 40, 64),
         # rows that do not converge
-        _sweep("cubic_large", "period", 1.0, 8.0, 8, 64),
+        _sweep("configs/cubic_large.json", "period", 1.0, 8.0, 8, 64),
         # one g per row
-        _sweep("pendulum", "a", 0.01, 2.0, 20, 64),
-        _sweep("tanh", "s", 0.1, 8.0, 40, 64),
+        _sweep("configs/pendulum.json", "a", 0.01, 2.0, 20, 64),
+        _sweep("configs/tanh.json", "s", 0.1, 8.0, 40, 64),
         # continuation stages that hit the cap and halve their step
-        _sweep("tanh", "period", 0.5, 6.0, 40, 64, "--max-iter", "40"),
+        _sweep("configs/tanh.json", "period", 0.5, 6.0, 40, 64, "--max-iter", "40"),
         # 20 rows of 16384 modes: two passes
-        _sweep("pendulum", "period", 1.0, 12.0, 20, 16384, "--max-iter", "2"),
+        _sweep("configs/pendulum.json", "period", 1.0, 12.0, 20, 16384, "--max-iter", "2"),
     ]
     cmds = [argv + ["--out", f"sweep_{i}.csv"] for i, argv in enumerate(cmds)]
     for name in NAMES:
@@ -104,6 +126,16 @@ def commands() -> list[list[str]]:
     # the reader's error records
     cmds += [["verify", "configs/zero.json", name]
              for name in malformed_solutions()]
+    for cfg in derived_constant_configs():
+        stem = cfg.removesuffix(".json")
+        cmds += [
+            ["certify", cfg],
+            ["solve", cfg, "--method", "continuation", "--modes", "128",
+             "--out", f"{stem}_continuation.csv"],
+            _sweep(cfg, "period", 1.0, 12.0, 8, 64,
+                   "--out", f"{stem}_period.csv"),
+            _sweep(cfg, "a", 0.01, 0.06, 6, 64, "--out", f"{stem}_a.csv"),
+        ]
     return cmds
 
 
@@ -111,7 +143,8 @@ def run_all(src: Path, workdir: Path) -> None:
     """Run every command with ``src`` first on PYTHONPATH, in ``workdir``;
     command i leaves ``cmd_i.stdout``, ``cmd_i.stderr`` and ``cmd_i.exit``."""
     shutil.copytree(CONFIGS, workdir / "configs")
-    for name, text in malformed_solutions().items():
+    for name, text in {**malformed_solutions(),
+                       **derived_constant_configs()}.items():
         (workdir / name).write_bytes(text.encode())
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
