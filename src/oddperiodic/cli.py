@@ -216,6 +216,10 @@ def _verdict(problem, u_col, tol: float) -> dict:
     except ValueError as exc:  # finite samples whose coefficients overflow
         raise ProblemError("bad_document",
                            f"the u column has no finite sine series: {exc}") from None
+    try:  # the oracle's slope u'(0) and the residual's u''
+        differentiate(u, 1), differentiate(u, 2)
+    except ValueError as exc:
+        raise ProblemError("bad_document", f"u' or u'' overflows: {exc}") from None
     try:
         cv = cross_validate(problem, u, tol=tol)
     except OracleInconclusiveError as exc:

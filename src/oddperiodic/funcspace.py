@@ -349,6 +349,8 @@ def _sup_norms(rows: np.ndarray, odd: bool = True) -> np.ndarray:
     return np.max(np.abs(_half_grid(rows, 8 * rows.shape[-1], odd)), axis=-1)
 
 
+# a derivative that overflows is refused by the series constructor
+@np.errstate(over="ignore", invalid="ignore")
 def differentiate(f: OddPeriodicFunction, order: int):
     """Spectral derivative of an odd series, with explicit parity tags.
 

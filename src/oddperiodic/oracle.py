@@ -118,12 +118,13 @@ def _default_steps(t_end: float, period: float) -> int:
 
 
 @functools.lru_cache(maxsize=1)
-def _forcing_samples(problem, t_end: float, steps: int) -> tuple[list, list]:
-    """k at the nodes and midpoints of the grid h = t_end/steps, as floats;
-    kept for the last grid, so the shots of one shooting solve share them."""
+def _forcing_samples(problem, t_end: float, steps: int) -> tuple[np.ndarray, ...]:
+    """k at the nodes and midpoints of the grid h = t_end/steps, for
+    :func:`integrate_ivp` and each row of :func:`_integrate_rows`; kept for
+    the last grid, so the shots of one shooting solve share them."""
     h = t_end / steps
     t = h * np.arange(steps + 1)
-    return problem.k(t).tolist(), problem.k(t[:-1] + 0.5 * h).tolist()
+    return problem.k(t), problem.k(t[:-1] + 0.5 * h)
 
 
 def integrate_ivp(problem, u0: float, v0: float, t_end: float,
@@ -148,7 +149,8 @@ def integrate_ivp(problem, u0: float, v0: float, t_end: float,
     h = t_end / steps
     t = h * np.arange(steps + 1)
     # forcing values at nodes and midpoints are fixed by the grid
-    k_node, k_half = _forcing_samples(problem, t_end, steps)
+    k_node, k_half = map(np.ndarray.tolist,
+                         _forcing_samples(problem, t_end, steps))
     value = problem.g.value
 
     # stepping on Python floats and hoisting the step fractions leaves every
@@ -204,10 +206,8 @@ def _integrate_rows(problems, u0, v0, t_end, steps: int):
     h = np.asarray(t_end, dtype=float) / steps
     # forcing at the nodes and midpoints of each row, one step per line
     k_node, k_half = np.empty((steps + 1, n)), np.empty((steps, n))
-    for j, p in enumerate(problems):
-        t = h[j] * np.arange(steps + 1)
-        k_node[:, j] = p.k(t)
-        k_half[:, j] = p.k(t[:-1] + 0.5 * h[j])
+    for j, (p, t_j) in enumerate(zip(problems, t_end)):
+        k_node[:, j], k_half[:, j] = _forcing_samples(p, t_j, steps)
     gs = [p.g for p in problems]
     g = _row_values(gs)
     h2 = 0.5 * h
@@ -266,7 +266,8 @@ def shoot(problem, v0_bracket) -> ShootingResult:
     already shot), else the secant iteration seeded from the two
     endpoints.  The accepted slope is not integrated again: the trajectory
     its root test produced is odd-reflected to a full period and resampled
-    into an OddPeriodicFunction.
+    into an OddPeriodicFunction.  This is the one shooting solve: a sweep
+    row whose batched midpoint misses comes here too.
 
     Shooting the midpoint first returns it where the endpoints alone
     would have decided otherwise: over an endpoint with u(T/2) exactly 0,
@@ -284,83 +285,61 @@ def shoot(problem, v0_bracket) -> ShootingResult:
     BlowUpError
         The integration blew up inside the bracket.
     """
-    a, b = float(v0_bracket[0]), float(v0_bracket[1])
-    v0 = 0.5 * (a + b)
-    traj = integrate_ivp(problem, 0.0, v0, 0.5 * problem.period,
-                         steps=_HALF_PERIOD_STEPS)
-    if abs(traj.u[-1]) > _SHOOT_TOL:
-        v0, traj = _shoot_bracket(problem, a, b, float(traj.u[-1]), traj)
-    return ShootingResult(v0=v0, boundary_defect=float(traj.u[-1]),
-                          trajectory=traj,
-                          reconstructed=_reconstruct(traj.u, problem.period))
-
-
-def _shoot_bracket(problem, a: float, b: float, fm: float,
-                   traj_m: Trajectory | None) -> tuple[float, Trajectory]:
-    """The slope and trajectory :func:`shoot` accepts after the midpoint's
-    shot (u(T/2) = ``fm``, trajectory ``traj_m`` if kept) missed the
-    boundary tolerance."""
     t_half = 0.5 * problem.period
-    traj = None  # trajectory of the slope F was last called with
 
-    def F(v0: float) -> float:
-        nonlocal traj
-        traj = integrate_ivp(problem, 0.0, v0, t_half, steps=_HALF_PERIOD_STEPS)
-        return float(traj.u[-1])
+    def shot(v0: float) -> tuple[float, Trajectory]:
+        traj = integrate_ivp(problem, 0.0, v0, t_half,
+                             steps=_HALF_PERIOD_STEPS)
+        return float(traj.u[-1]), traj
 
+    def accept(v0: float, traj: Trajectory) -> ShootingResult:
+        return ShootingResult(v0, float(traj.u[-1]), traj,
+                              _reconstruct(traj.u, problem.period))
+
+    a, b = float(v0_bracket[0]), float(v0_bracket[1])
     m = 0.5 * (a + b)
-
-    def F_end(v0: float) -> float:
-        # an endpoint equal to the midpoint (a == b, or adjacent doubles)
-        # reuses the midpoint's shot
-        nonlocal traj
-        if v0 != m or traj_m is None:
-            return F(v0)
-        traj = traj_m
-        return fm
-
-    v0 = None
-    if (fa := F_end(a)) == 0.0:
-        v0 = a
-    elif (fb := F_end(b)) == 0.0:
-        v0 = b
-    elif fa * fb < 0.0:
+    fm, traj = mid = shot(m)
+    if abs(fm) <= _SHOOT_TOL:
+        return accept(m, traj)
+    # an endpoint equal to the midpoint (a == b, or adjacent doubles)
+    # reuses the midpoint's shot
+    fa, traj = mid if a == m else shot(a)
+    if fa == 0.0:
+        return accept(a, traj)
+    fb, traj = mid if b == m else shot(b)
+    if fb == 0.0:
+        return accept(b, traj)
+    if fa * fb < 0.0:
         for _ in range(199):  # 200 midpoints with the one shot first
             if fa * fm < 0.0:
-                b, fb = m, fm
+                b = m
             else:
                 a, fa = m, fm
             if abs(b - a) <= 1e-16 * max(1.0, abs(a), abs(b)):
                 break
             m = 0.5 * (a + b)
-            fm = F(m)
+            fm, traj = shot(m)
             if abs(fm) <= _SHOOT_TOL:
-                v0 = m
-                break
-        if v0 is None:
-            raise OracleInconclusiveError(
-                "bisection exhausted the bracket without meeting the "
-                f"boundary tolerance {_SHOOT_TOL:.1e}")
-    else:
-        # secant from the two seeds
-        x0, f0, x1, f1 = a, fa, b, fb
-        for _ in range(100):
-            if abs(f1) <= _SHOOT_TOL:
-                v0 = x1
-                break
-            denom = f1 - f0
-            if denom == 0.0 or not math.isfinite(denom):
-                break
-            x2 = x1 - f1 * (x1 - x0) / denom
-            if not math.isfinite(x2) or abs(x2 - x1) <= 1e-16 * max(1.0, abs(x1)):
-                break
-            x0, f0 = x1, f1
-            x1, f1 = x2, F(x2)
-        if v0 is None:
-            raise OracleInconclusiveError(
-                "no sign change on the bracket and the secant iteration "
-                "stagnated; widen the bracket or reseed")
-    return v0, traj
+                return accept(m, traj)
+        raise OracleInconclusiveError(
+            "bisection exhausted the bracket without meeting the "
+            f"boundary tolerance {_SHOOT_TOL:.1e}")
+    # secant from the two seeds; traj is always that of x1
+    x0, f0, x1, f1 = a, fa, b, fb
+    for _ in range(100):
+        if abs(f1) <= _SHOOT_TOL:
+            return accept(x1, traj)
+        denom = f1 - f0
+        if denom == 0.0 or not math.isfinite(denom):
+            break
+        x2 = x1 - f1 * (x1 - x0) / denom
+        if not math.isfinite(x2) or abs(x2 - x1) <= 1e-16 * max(1.0, abs(x1)):
+            break
+        x0, f0, x1 = x1, f1, x2
+        f1, traj = shot(x1)
+    raise OracleInconclusiveError(
+        "no sign change on the bracket and the secant iteration "
+        "stagnated; widen the bracket or reseed")
 
 
 def pointwise_residual(problem, u: OddPeriodicFunction,
@@ -414,9 +393,16 @@ def shooting_distances(problems, candidates) -> list[float]:
     candidate, bitwise, without the equation residuals; NaN where shooting
     is inconclusive or blows up.
 
-    The first midpoints of all rows are shot in one vectorized RK4 loop; a
-    row whose midpoint misses goes on as :func:`shoot` does from there.
+    The first midpoints of all rows are shot in one vectorized RK4 loop.
+    A row whose midpoint meets the boundary tolerance is reconstructed from
+    that shot.  A row whose midpoint misses goes to :func:`shoot` with its
+    bracket, which shoots that midpoint once more and goes on from there,
+    so the row takes the shots of :func:`cross_validate`.  Sequences of
+    different lengths raise ValueError.
     """
+    if len(problems) != len(candidates):
+        raise ValueError(f"{len(problems)} problems but {len(candidates)} "
+                         "candidates")
     if not problems:
         return []
     brackets = [_slope_bracket(u) for u in candidates]
@@ -424,16 +410,16 @@ def shooting_distances(problems, candidates) -> list[float]:
         problems, [0.0] * len(problems), [0.5 * (a + b) for a, b in brackets],
         [0.5 * p.period for p in problems], _HALF_PERIOD_STEPS)
     distances = []
-    for problem, u, (a, b), u_m, t_esc in zip(problems, candidates, brackets,
-                                              u_mid, t_escape):
-        fm = float(u_m[-1])
+    for problem, u, bracket, u_m, t_esc in zip(problems, candidates, brackets,
+                                               u_mid, t_escape):
         try:
             if not math.isnan(t_esc):
                 raise BlowUpError(t_esc)
-            if abs(fm) > _SHOOT_TOL:
-                u_m = _shoot_bracket(problem, a, b, fm, None)[1].u
+            shot = (_reconstruct(u_m, problem.period)
+                    if abs(u_m[-1]) <= _SHOOT_TOL
+                    else shoot(problem, bracket).reconstructed)
         except (OracleInconclusiveError, ArithmeticError):
             distances.append(math.nan)
             continue
-        distances.append(sup_norm(u - _reconstruct(u_m, problem.period)))
+        distances.append(sup_norm(u - shot))
     return distances

@@ -133,7 +133,7 @@ class Nonlinearity:
     majorants : tuple of (eps, M) pairs
         Declared sublinearity majorants: |g(x)| <= M + eps*|x|.
     params : dict
-        Family parameters, echoed into run records.
+        Family parameters, for inspection; run records echo the config.
     """
 
     name: str

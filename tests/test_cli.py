@@ -341,12 +341,13 @@ class TestVerify:
             assert read_record(res.stdout)["outcome"]["verdict"] == verdict
 
 
-def _solution_csv(edit=lambda rows: rows, points=8) -> str:
+def _solution_csv(edit=lambda rows: rows, points=8, period=T2PI) -> str:
     """The closed-form solution u = -sin t of the ZERO config on ``points``
-    points, with ``edit`` applied to its rows of cells."""
-    t = np.arange(points) * (T2PI / points)
-    rows = [[repr(float(tj)), repr(float(-np.sin(tj))),
-             repr(float(-np.cos(tj))), "0.0"] for tj in t]
+    points, with ``edit`` applied to its rows of cells; another ``period``
+    rescales the t column alone."""
+    j = np.arange(points)
+    rows = [[repr(float(tj)), repr(float(-np.sin(x))), repr(float(-np.cos(x))),
+             "0.0"] for tj, x in zip(j * (period / points), j * (T2PI / points))]
     lines = [["t", "u", "u_prime", "residual_pointwise"]] + edit(rows)
     return "".join(",".join(row) + "\n" for row in lines)
 
@@ -389,6 +390,14 @@ INPUT_FILES = {
     # finite, but its odd-symmetry defect u(t) + u(T - t) overflows
     "csv_near_max_even_u": (
         json.dumps(ZERO), _solution_csv(_set_u("1e308", at=(3, 5))), 5),
+    # finite coefficients on a period of 1e-150, but u' overflows (and u'')
+    "csv_overflowing_slope": (
+        json.dumps(dict(ZERO, period=1e-150)),
+        _solution_csv(_scale_u(1e158), period=1e-150), 2),
+    # u' is finite, u'' overflows
+    "csv_overflowing_curvature": (
+        json.dumps(dict(ZERO, period=1e-150)),
+        _solution_csv(_scale_u(1e150), period=1e-150), 2),
     "csv_intact": (json.dumps(ZERO), _solution_csv(), 0),
 }
 

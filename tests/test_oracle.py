@@ -361,14 +361,54 @@ class TestBatchedShots:
         candidates.append(OddPeriodicFunction(T2PI, [50.0]))
         distances = shooting_distances(problems, candidates)
         # only the poor candidate shoots again, one scalar shot at a time,
-        # from the lower end of its bracket
-        assert len(shot_slopes) > 1
-        assert shot_slopes[0] == oracle._slope_bracket(candidates[3])[0]
+        # in shoot's sequence: its midpoint once more, then the lower end
+        # of its bracket
+        a, b = oracle._slope_bracket(candidates[3])
+        assert len(shot_slopes) > 2
+        assert shot_slopes[:2] == [0.5 * (a + b), a]
         for p, u, d in zip(problems[:-1], candidates, distances):
             assert d == cross_validate(p, u).distance
         with pytest.raises(BlowUpError):
             cross_validate(cubic, candidates[-1])
         assert np.isnan(distances[-1])
+
+    def test_only_a_missed_midpoint_calls_shoot(self, monkeypatch):
+        tanh = builtin("tanh_g", {"s": 1.0}, period=T2PI, forcing=[(1, 0.5)])
+        problems = [make_problem(T, tanh.g, [(1, 0.5)], label="tanh")
+                    for T in (1.0, 2.5, 4.0)]
+        candidates = [solve_picard(p, modes=64).solution for p in problems]
+        # two poor candidates, whose midpoints miss
+        problems += [problems[1], problems[2]]
+        candidates += [OddPeriodicFunction(2.5, [0.3]),
+                       OddPeriodicFunction(4.0, [0.2])]
+        # a candidate whose first shot escapes
+        problems.append(builtin("cubic", {"c3": -1.0}, period=T2PI,
+                                forcing=[(1, 1.0)]))
+        candidates.append(OddPeriodicFunction(T2PI, [50.0]))
+        calls = []
+        scalar_shoot = oracle.shoot
+
+        def counting(problem, v0_bracket):
+            calls.append((problem, v0_bracket))
+            return scalar_shoot(problem, v0_bracket)
+
+        monkeypatch.setattr(oracle, "shoot", counting)
+        distances = shooting_distances(problems, candidates)
+        assert calls == [(problems[i], oracle._slope_bracket(candidates[i]))
+                         for i in (3, 4)]
+        assert all(np.isfinite(distances[:5])) and np.isnan(distances[5])
+
+    @pytest.mark.parametrize("rows,candidates", [(2, 1), (1, 2)])
+    def test_lengths_must_match(self, monkeypatch, rows, candidates):
+        def no_shots(*args):
+            raise AssertionError("shot before the lengths were checked")
+
+        monkeypatch.setattr(oracle, "_integrate_rows", no_shots)
+        monkeypatch.setattr(oracle, "integrate_ivp", no_shots)
+        p, u = zero_problem(), OddPeriodicFunction(T2PI, [-1.0])
+        with pytest.raises(ValueError, match=f"{rows} problems but "
+                                             f"{candidates} candidates"):
+            shooting_distances([p] * rows, [u] * candidates)
 
     def test_no_rows(self):
         assert shooting_distances([], []) == []

@@ -8,7 +8,8 @@ Each argument is a ``src`` directory that holds the ``oddperiodic``
 package.  The script runs one fixed set of CLI commands (below) once per
 tree, with that tree first on ``PYTHONPATH``, each tree in its own
 temporary directory holding a copy of ``configs/``, a fixed set of
-malformed solution files for ``verify`` to refuse and a fixed set of
+malformed solution files for ``verify`` to refuse, the files of the
+``verify`` runs that take the oracle's bracket phase, and a fixed set of
 configs that take the error and override paths of a problem's certificate
 and a-priori bound.  It then compares what
 the two runs left: every record on stdout, every stderr, every exit code,
@@ -17,7 +18,7 @@ and every CSV and sidecar written.  The only part left out is the
 differ are printed, and the exit code is 1 if any differ, else 0.
 
 Standard library only.  The two trees run side by side, one command at a
-time each; on two cores the whole set takes about 30 s.
+time each; on two cores the whole set takes about 40 s.
 """
 
 from __future__ import annotations
@@ -74,6 +75,25 @@ def malformed_solutions() -> dict[str, str]:
     }
 
 
+def shooting_inputs() -> dict[str, str]:
+    """Files by name for ``verify`` runs that take :func:`shoot` past its
+    first midpoint: the sign-flipped solution u = +sin t of
+    ``configs/zero.json`` on 8 points (the secant path, distance about 2),
+    and a solution on period 1e-150 whose slope u' overflows."""
+    zero = json.loads((CONFIGS / "zero.json").read_text())
+    period, tiny = zero["period"], 1e-150
+    header = "t,u,u_prime,residual_pointwise\n"
+    flipped = [f"{j * period / 8!r},{math.sin(j * period / 8)!r},"
+               f"{math.cos(j * period / 8)!r},0.0\n" for j in range(8)]
+    overflowing = [f"{j * tiny / 8!r},{-1e158 * math.sin(j * period / 8)!r},"
+                   "0.0,0.0\n" for j in range(8)]
+    return {
+        "flipped_sign.csv": header + "".join(flipped),
+        "zero_tiny_period.json": json.dumps(dict(zero, period=tiny)),
+        "overflowing_slope.csv": header + "".join(overflowing),
+    }
+
+
 def derived_constant_configs() -> dict[str, str]:
     """Configs by file name, each ``configs/pendulum.json`` with one
     override: a certificate or a-priori bound that overflows, majorants
@@ -126,6 +146,16 @@ def commands() -> list[list[str]]:
     # the reader's error records
     cmds += [["verify", "configs/zero.json", name]
              for name in malformed_solutions()]
+    # shoot past its first midpoint: bisection at low truncation orders,
+    # the secant on a sign-flipped solution, and a slope that overflows
+    for name, modes in (("pendulum", 2), ("tanh", 8)):
+        out = f"{name}_bracket_{modes}.csv"
+        cmds.append(["solve", f"configs/{name}.json", "--modes", str(modes),
+                     "--out", out])
+        cmds.append(["verify", f"configs/{name}.json", out])
+    cmds += [["compare", "configs/tanh.json", "--modes", "8"],
+             ["verify", "configs/zero.json", "flipped_sign.csv"],
+             ["verify", "zero_tiny_period.json", "overflowing_slope.csv"]]
     for cfg in derived_constant_configs():
         stem = cfg.removesuffix(".json")
         cmds += [
@@ -143,7 +173,7 @@ def run_all(src: Path, workdir: Path) -> None:
     """Run every command with ``src`` first on PYTHONPATH, in ``workdir``;
     command i leaves ``cmd_i.stdout``, ``cmd_i.stderr`` and ``cmd_i.exit``."""
     shutil.copytree(CONFIGS, workdir / "configs")
-    for name, text in {**malformed_solutions(),
+    for name, text in {**malformed_solutions(), **shooting_inputs(),
                        **derived_constant_configs()}.items():
         (workdir / name).write_bytes(text.encode())
     env = dict(os.environ)
