@@ -127,14 +127,13 @@ def _nonlinear_parts(g, rows: np.ndarray,
         # non-odd g sits orders of magnitude above it
         tol = 1e-10 * (1.0 + np.max(np.abs(su), axis=1)) + 1e-13 * g_max
         defect = _symmetry_defects(gu)
+        analysis = _sine_rows(gu, N)
     # the 1e300 cap keeps the analysis sums representable
     blown = ~(g_max <= 1e300)
     odd = ~(defect > tol)
     if not (odd | blown).all():
         i = np.flatnonzero(~odd & ~blown)[0]
         raise OddSymmetryError(defect[i], tol[i])
-    analysis = _sine_rows(np.where(blown[:, np.newaxis], 0.0, gu)
-                          if blown.any() else gu, N)
     out = forcing.copy()
     out[:, :N] -= analysis
     return out, blown

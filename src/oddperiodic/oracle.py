@@ -197,10 +197,11 @@ def _integrate_rows(problems, u0, v0, t_end, steps: int):
     ``u0``, ``v0`` and ``t_end`` but the same ``steps``: one loop over the
     steps on arrays over the rows.
 
-    Returns u at the nodes, one row per problem, with row i bitwise that
-    of integrate_ivp, and the escape time of each row that blows up (NaN
-    for the others).  A row is dropped at its escape, so the others run on
-    untouched; its u is NaN from there on.
+    Returns u at the nodes, one row per problem, and the mask of the rows
+    that blow up.  Rows never mix, so a row that blows up runs on beside
+    the others, non-finite to the end, and leaves them untouched; row i
+    of u is bitwise that of integrate_ivp wherever the mask is clear, and
+    integrate_ivp raises BlowUpError wherever it is set.
     """
     n = len(problems)
     h = np.asarray(t_end, dtype=float) / steps
@@ -208,31 +209,21 @@ def _integrate_rows(problems, u0, v0, t_end, steps: int):
     k_node, k_half = np.empty((steps + 1, n)), np.empty((steps, n))
     for j, (p, t_j) in enumerate(zip(problems, t_end)):
         k_node[:, j], k_half[:, j] = _forcing_samples(p, t_j, steps)
-    gs = [p.g for p in problems]
-    g = _row_values(gs)
+    g = _row_values([p.g for p in problems])
     h2 = 0.5 * h
     h6 = h / 6.0
 
-    u_out = np.full((steps + 1, n), np.nan)
-    t_escape = np.full(n, np.nan)
-    live = np.arange(n)
+    u_out = np.empty((steps + 1, n))
     u = np.array(u0, dtype=float)
     v = np.array(v0, dtype=float)
     u_out[0] = u
-    with np.errstate(over="ignore", invalid="ignore"):  # blow-up is detected below
+    # a non-finite state stays non-finite, so the last one tells
+    with np.errstate(over="ignore", invalid="ignore"):
         for i in range(steps):
             u, v = _rk4_step(g, u, v, h, h2, h6, k_node[i], k_half[i],
                              k_node[i + 1])
-            if not (np.isfinite(u).all() and np.isfinite(v).all()):
-                keep = np.isfinite(u) & np.isfinite(v)
-                t_escape[live[~keep]] = h[~keep] * (i + 1)  # the node t[i + 1]
-                live, u, v, h, h2, h6 = (x[keep] for x in (live, u, v, h, h2, h6))
-                k_node, k_half = k_node[:, keep], k_half[:, keep]
-                if not live.size:
-                    break
-                g = _row_values([gs[j] for j in live])
-            u_out[i + 1, live] = u
-    return u_out.T, t_escape
+            u_out[i + 1] = u
+    return u_out.T, ~(np.isfinite(u) & np.isfinite(v))
 
 
 def _reconstruct(u_nodes: np.ndarray, period: float) -> OddPeriodicFunction:
@@ -397,7 +388,9 @@ def shooting_distances(problems, candidates) -> list[float]:
     A row whose midpoint meets the boundary tolerance is reconstructed from
     that shot.  A row whose midpoint misses goes to :func:`shoot` with its
     bracket, which shoots that midpoint once more and goes on from there,
-    so the row takes the shots of :func:`cross_validate`.  Sequences of
+    so the row takes the shots of :func:`cross_validate`.  A row whose
+    first shot blows up runs on beside the others to the end of the loop,
+    which masks it, and gets NaN without shooting again.  Sequences of
     different lengths raise ValueError.
     """
     if len(problems) != len(candidates):
@@ -406,15 +399,16 @@ def shooting_distances(problems, candidates) -> list[float]:
     if not problems:
         return []
     brackets = [_slope_bracket(u) for u in candidates]
-    u_mid, t_escape = _integrate_rows(
+    u_mid, blown = _integrate_rows(
         problems, [0.0] * len(problems), [0.5 * (a + b) for a, b in brackets],
         [0.5 * p.period for p in problems], _HALF_PERIOD_STEPS)
     distances = []
-    for problem, u, bracket, u_m, t_esc in zip(problems, candidates, brackets,
-                                               u_mid, t_escape):
+    for problem, u, bracket, u_m, blew_up in zip(problems, candidates,
+                                                 brackets, u_mid, blown):
+        if blew_up:
+            distances.append(math.nan)
+            continue
         try:
-            if not math.isnan(t_esc):
-                raise BlowUpError(t_esc)
             shot = (_reconstruct(u_m, problem.period)
                     if abs(u_m[-1]) <= _SHOOT_TOL
                     else shoot(problem, bracket).reconstructed)

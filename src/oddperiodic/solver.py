@@ -80,8 +80,9 @@ class SolveReport:
     ``regime`` is one of ``certified_contraction``, ``uncertified_picard``
     or ``continuation``.  ``failure`` is None on success, else ``max_iter``,
     ``non_finite`` or ``step_underflow``; the best iterate is still
-    returned.  ``max_iterate_norm`` tracks sup|u_j| over every iterate seen,
-    which is what the a-priori bound is checked against.
+    returned.  ``max_iterate_norm`` tracks sup|u_j| over every finite
+    iterate seen; the a-priori bound is checked against the norm of each
+    accepted continuation stage solution instead.
     """
 
     solution: OddPeriodicFunction
@@ -165,7 +166,9 @@ def solve_picard(problem, *, initial_guess: OddPeriodicFunction | None = None,
 
     Runs until the step sup norm drops below ``tol``.  In the certified
     regime convergence is guaranteed; outside it, non-convergence is a
-    reportable outcome (``converged=False`` with diagnostics), not an error.
+    reportable outcome (``converged=False`` with diagnostics), not an error:
+    an iterate whose g(u), step or coefficients leave the finite range ends
+    the solve as ``failure="non_finite"``.
 
     Parameters
     ----------
@@ -198,7 +201,8 @@ def solve_continuation(problem, *, tol: float = DEFAULT_TOL,
 
     Each stage is Picard on u = lam * map(u), damped from theta = 1 to 0.5
     once the iteration oscillates (three consecutive direction reversals of
-    the coefficient step).  A stage that meets a non-finite g(u) fails.
+    the coefficient step).  A stage that meets a non-finite g(u), or whose
+    step or iterate overflows, fails.
 
     When the declared majorants admit an a-priori bound, every accepted
     stage solution is checked against it; a violation would mean numerical
@@ -379,33 +383,31 @@ class _Batch:
         stage that ends with it."""
         s = self.state
         M, blown = _nonlinear_parts(self.g, s["b"], s["forcing"])
-        M *= s["gains"]
         s["applied"] += 1
-        target = s["lam"][:, np.newaxis] * M
-        step = target - s["b"]
-        # the reference loop's reversal test, on each undamped row; a row
-        # times a column runs np.dot's kernel, so each dot is np.dot's
-        tested = np.flatnonzero(s["continuation"] & (s["theta"] == 1.0)
-                                & (s["applied"] > 1))
-        # the dot of huge steps may overflow to inf or nan, which the
-        # comparison below takes as it comes
+        # a row whose g(u), step or iterate is not finite is blown below
         with np.errstate(over="ignore", invalid="ignore"):
+            M *= s["gains"]
+            target = s["lam"][:, np.newaxis] * M
+            step = target - s["b"]
+            # the reference loop's reversal test, on each undamped row; a
+            # row times a column runs np.dot's kernel, so each dot is
+            # np.dot's, taken by the comparison as it comes
+            tested = np.flatnonzero(s["continuation"] & (s["theta"] == 1.0)
+                                    & (s["applied"] > 1))
             dots = step[tested, np.newaxis] @ s["prev"][tested, :, np.newaxis]
-        s["reversals"][tested] = np.where(dots[:, 0, 0] < 0.0,
-                                          s["reversals"][tested] + 1, 0)
-        s["theta"][s["reversals"] >= 3] = 0.5
-        b = s["b"] + s["theta"][:, np.newaxis] * step
+            s["reversals"][tested] = np.where(dots[:, 0, 0] < 0.0,
+                                              s["reversals"][tested] + 1, 0)
+            s["theta"][s["reversals"] >= 3] = 0.5
+            b = s["b"] + s["theta"][:, np.newaxis] * step
         picard = ~s["continuation"]
         b[picard] = target[picard]
+        blown |= ~(np.isfinite(step).all(axis=1) & np.isfinite(b).all(axis=1))
         if blown.any():
             # a blown row keeps its iterate; its stage ends below
             step[blown] = 0.0
             b[blown] = s["b"][blown]
         s["prev"], s["b"] = step, b
-        pairs = np.concatenate((step, b))
-        if not np.all(np.isfinite(pairs)):
-            raise ValueError("coeffs must be finite")
-        sups = _sup_norms(pairs)
+        sups = _sup_norms(np.concatenate((step, b)))
         R = len(self.rows)
         steps = s["theta"] * sups[:R]
         np.maximum(s["max_norm"], sups[R:], out=s["max_norm"], where=~blown)

@@ -782,18 +782,29 @@ class TestInputContract:
             assert res.stderr == ""
 
 
+LINEAR_HUGE_PERIOD = {"family": "linear", "params": {"c": 0.01},
+                      "period": 1e150}
+
+
 @pytest.mark.parametrize("override,argv,code", [
     ({"family": "pendulum", "params": {"a": 0.04}, "period": 1e150},
      ["solve", "--modes", "32", "--max-iter", "50", "--out", "u.csv"], 4),
     ({"family": "linear", "params": {"c": 0.01},
       "forcing": [{"mode": 1, "amplitude": 1e200}]},
      ["compare", "--modes", "32"], 5),
-], ids=["solve_huge_period", "compare_huge_forcing"])
+    (LINEAR_HUGE_PERIOD, ["solve", "--method", "picard", "--out", "u.csv"], 4),
+    (LINEAR_HUGE_PERIOD,
+     ["solve", "--method", "continuation", "--out", "u.csv"], 4),
+    (LINEAR_HUGE_PERIOD, ["compare"], 4),
+], ids=["solve_huge_period", "compare_huge_forcing", "linear_picard",
+        "linear_continuation", "linear_compare"])
 def test_overflowing_continuation_step_prints_no_warning(tmp_path, run_cli,
                                                          override, argv, code):
     # continuation steps large enough that the reversal test's dot
     # overflows (a sweep of linear c = 1 over periods 1..9 meets it too,
-    # in about 25 s)
+    # in about 25 s), and iterates whose gains (T/2 pi n)^2 ~ 2.5e297 at
+    # T = 1e150 overflow them: each such row ends as non_finite or
+    # step_underflow, in a record with exit 4
     cfg = write_config(tmp_path, dict(ZERO, **override))
     res = run_cli(argv[0], cfg, *argv[1:], cwd=tmp_path)
     assert res.returncode == code and res.stderr == ""
@@ -1003,6 +1014,10 @@ def fuzz_dir(tmp_path, monkeypatch):
                "--to", "12345678901234567890", "--steps", "3", "--modes", "8"])
 @example(argv=["sweep", "pendulum.json", "--param", "a", "--from", "0.04",
                "--to", "0.06", "--steps", "2", "--modes=2", "--out", "adir"])
+# a period of 1.2e19, whose iterate overflows after the inverse's gains
+@example(argv=["sweep", "linear_small.json", "--param", "period",
+               "--from", "12345678901234567890", "--to", "1e308",
+               "--steps", "1", "--modes", "1"])
 def test_fuzzed_argv_exits_cleanly(fuzz_dir, argv):
     """Any argv ends in argparse's exit 2, or in one strict JSON record
     with a documented exit code, and never in a warning."""

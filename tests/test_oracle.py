@@ -329,15 +329,14 @@ class TestBatchedShots:
         ]
         problems = [p for p, _ in rows]
         t_end = [0.5 * p.period for p in problems]
-        u, t_escape = oracle._integrate_rows(
+        u, blown = oracle._integrate_rows(
             problems, [0.0] * len(rows), [v0 for _, v0 in rows], t_end, 1024)
+        assert blown.tolist() == [False, False, False, True, False]
         for i, (p, v0) in enumerate(rows):
-            if i == 3:
-                with pytest.raises(BlowUpError) as err:
+            if blown[i]:
+                with pytest.raises(BlowUpError):
                     integrate_ivp(p, 0.0, v0, t_end[i], steps=1024)
-                assert t_escape[i] == err.value.t_escape
                 continue
-            assert np.isnan(t_escape[i])
             assert np.array_equal(u[i], integrate_ivp(p, 0.0, v0, t_end[i],
                                                       steps=1024).u)
         # without the escaping row the others come out the same
@@ -415,7 +414,7 @@ class TestBatchedShots:
 
     def test_a_lone_row_that_escapes(self):
         cubic = builtin("cubic", {"c3": -1.0}, period=T2PI, forcing=[(1, 1.0)])
-        u, t_escape = oracle._integrate_rows([cubic], [0.0], [50.0], [np.pi], 64)
-        with pytest.raises(BlowUpError) as err:
+        u, blown = oracle._integrate_rows([cubic], [0.0], [50.0], [np.pi], 64)
+        with pytest.raises(BlowUpError):
             integrate_ivp(cubic, 0.0, 50.0, np.pi, steps=64)
-        assert t_escape[0] == err.value.t_escape and np.isnan(u[0, -1])
+        assert blown.tolist() == [True] and not np.isfinite(u[0, -1])

@@ -4,12 +4,15 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from oddperiodic import (
     CertificateError,
     MajorantError,
     Nonlinearity,
     OddPeriodicFunction,
+    ProblemError,
     apriori_bound,
     builtin,
     certify,
@@ -20,6 +23,7 @@ from oddperiodic import (
     make_problem,
     nonlinear_rhs,
     shoot,
+    shooting_distances,
     solve,
     solve_continuation,
     solve_many,
@@ -580,6 +584,20 @@ class TestSolveMany:
         assert out[0].tobytes() == nonlinear_rhs(good, u).coeffs.tobytes()
         assert blown.tolist() == [False, True]
 
+    @pytest.mark.parametrize("method,failure", [
+        ("picard", "non_finite"), ("continuation", "step_underflow")])
+    def test_a_row_whose_iterate_overflows_ends_alone(self, method, failure):
+        # at T = 1e150 the inverse's gains (T/2 pi n)^2 reach 2.5e297, and
+        # the iterate overflows after them, not in g
+        linear = {"c": 0.01}
+        overflowing = builtin("linear", linear, period=1e150,
+                              forcing=[(1, 1.0)])
+        healthy = builtin("linear", linear, period=T2PI, forcing=[(1, 1.0)])
+        blown, report = solve_many([overflowing, healthy], method=method)
+        assert (blown.converged, blown.failure) == (False, failure)
+        assert report.converged
+        assert_same_report(report, solve(healthy, method=method))
+
 
 class TestSolvePolicy:
     """``solve(method="auto")``: one test per branch of the policy."""
@@ -663,3 +681,59 @@ def test_tuning_constants_are_not_options(func, params):
     # and the continuation steps are module constants: the truncation order
     # N stays the one approximation knob
     assert list(inspect.signature(func).parameters) == params
+
+
+def _signed_decades(lo, hi):
+    """Values of either sign with magnitudes log-uniform over
+    10^lo..10^hi."""
+    return st.builds(lambda sign, e: sign * 10.0 ** e,
+                     st.sampled_from([-1.0, 1.0]), st.floats(lo, hi))
+
+
+@st.composite
+def _accepted_problems(draw):
+    """A problem of any family that validation accepts: periods
+    log-uniform over 1e-150..1e150, parameters and forcing amplitudes over
+    sixteen decades, forcing modes up to 300."""
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    params = {name: draw(_signed_decades(-8, 8))
+              for name in FAMILIES[family][1]}
+    forcing = draw(st.lists(st.tuples(st.integers(1, 300),
+                                      _signed_decades(-8, 8)),
+                            min_size=1, max_size=3,
+                            unique_by=lambda pair: pair[0]))
+    period = 10.0 ** draw(st.floats(-150.0, 150.0))
+    try:
+        return builtin(family, params, period=period, forcing=forcing)
+    except ProblemError:
+        assume(False)
+
+
+# about 0.6 s a draw
+@settings(max_examples=12, deadline=None)
+@given(problems=st.lists(_accepted_problems(), min_size=1, max_size=3),
+       method=st.sampled_from(["auto", "picard", "continuation"]),
+       tol=st.sampled_from([5e-324, 1e-12, 1e300]),
+       max_iter=st.integers(1, 50), modes=st.integers(1, 16))
+# an iterate that overflows after the inverse's gains
+@example(problems=[builtin("linear", {"c": 0.01}, period=1e150,
+                           forcing=[(1, 1.0)])],
+         method="picard", tol=1e-12, max_iter=50, modes=16)
+def test_every_accepted_problem_ends_in_reports(problems, method, tol,
+                                                 max_iter, modes):
+    """solve_many and shooting_distances end in their results, or in
+    MajorantError for continuation without a majorant, and never in a
+    warning (which the test settings make an error)."""
+    try:
+        reports = solve_many(problems, method=method, tol=tol,
+                             max_iter=max_iter, modes=modes)
+    except MajorantError:
+        assert method == "continuation"
+        assert not all(p.majorants for p in problems)
+        return
+    for report in reports:
+        assert report.failure in (None, "max_iter", "non_finite",
+                                  "step_underflow")
+        assert report.converged == (report.failure is None)
+    distances = shooting_distances(problems, [r.solution for r in reports])
+    assert len(distances) == len(problems)

@@ -9,13 +9,14 @@ package.  The script runs one fixed set of CLI commands (below) once per
 tree, with that tree first on ``PYTHONPATH``, each tree in its own
 temporary directory holding a copy of ``configs/``, a fixed set of
 malformed solution files for ``verify`` to refuse, the files of the
-``verify`` runs that take the oracle's bracket phase, and a fixed set of
+``verify`` runs that take the oracle's bracket phase, a fixed set of
 configs that take the error and override paths of a problem's certificate
-and a-priori bound.  It then compares what
-the two runs left: every record on stdout, every stderr, every exit code,
-and every CSV and sidecar written.  The only part left out is the
-``wall_time_s`` field of records and sidecars.  The names of the files that
-differ are printed, and the exit code is 1 if any differ, else 0.
+and a-priori bound, and a config whose iterates overflow.  It then
+compares what the two runs left: every record on stdout, every stderr,
+every exit code, and every CSV and sidecar written.  The only part left
+out is the ``wall_time_s`` field of records and sidecars.  The names of
+the files that differ are printed, and the exit code is 1 if any differ,
+else 0.
 
 Standard library only.  The two trees run side by side, one command at a
 time each; on two cores the whole set takes about 40 s.
@@ -114,6 +115,14 @@ def derived_constant_configs() -> dict[str, str]:
             for name, override in overrides.items()}
 
 
+def overflowing_configs() -> dict[str, str]:
+    """Configs by file name: ``configs/linear_small.json`` at period
+    1e150, where the inverse's gains (T/(2*pi*n))^2 ~ 2.5e297 make the
+    iterate overflow."""
+    base = json.loads((CONFIGS / "linear_small.json").read_text())
+    return {"linear_huge_period.json": json.dumps(dict(base, period=1e150))}
+
+
 def commands() -> list[list[str]]:
     """The command set: each argv runs as ``python -m oddperiodic argv``."""
     cmds = [
@@ -166,6 +175,19 @@ def commands() -> list[list[str]]:
                    "--out", f"{stem}_period.csv"),
             _sweep(cfg, "a", 0.01, 0.06, 6, 64, "--out", f"{stem}_a.csv"),
         ]
+    # iterates that overflow: in a solve of each method, in compare, and in
+    # sweep rows of huge periods
+    for cfg in overflowing_configs():
+        stem = cfg.removesuffix(".json")
+        cmds += [["solve", cfg, "--method", method,
+                  "--out", f"{stem}_{method}.csv"]
+                 for method in ("auto", "picard", "continuation")]
+        cmds.append(["compare", cfg])
+    cmds += [_sweep("configs/linear_small.json", "period", 1e15, 1e20, 2, 256,
+                    "--out", "sweep_overflow.csv"),
+             _sweep("configs/linear_small.json", "period",
+                    "12345678901234567890", 1e308, 1, 1,
+                    "--out", "sweep_overflow_fuzz.csv")]
     return cmds
 
 
@@ -174,7 +196,8 @@ def run_all(src: Path, workdir: Path) -> None:
     command i leaves ``cmd_i.stdout``, ``cmd_i.stderr`` and ``cmd_i.exit``."""
     shutil.copytree(CONFIGS, workdir / "configs")
     for name, text in {**malformed_solutions(), **shooting_inputs(),
-                       **derived_constant_configs()}.items():
+                       **derived_constant_configs(),
+                       **overflowing_configs()}.items():
         (workdir / name).write_bytes(text.encode())
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
