@@ -343,10 +343,13 @@ def sup_norm(f) -> float:
     return float(_sup_norms(f.coeffs, isinstance(f, OddPeriodicFunction)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _sup_norms(rows: np.ndarray, odd: bool = True) -> np.ndarray:
-    """:func:`sup_norm` of each row of coefficients, from one FFT call."""
+    """:func:`sup_norm` of each row of coefficients, from one FFT call; inf
+    where the grid values overflow."""
     # the mirrored half of the grid holds the same values up to sign
-    return np.max(np.abs(_half_grid(rows, 8 * rows.shape[-1], odd)), axis=-1)
+    norms = np.max(np.abs(_half_grid(rows, 8 * rows.shape[-1], odd)), axis=-1)
+    return np.where(np.isnan(norms), np.inf, norms)
 
 
 # a derivative that overflows is refused by the series constructor

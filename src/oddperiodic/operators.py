@@ -118,8 +118,8 @@ def _nonlinear_parts(g, rows: np.ndarray,
     OddSymmetryError.
     """
     N = rows.shape[1]
-    su = _full_grid(rows, 4 * N)
     with np.errstate(over="ignore", invalid="ignore"):
+        su = _full_grid(rows, 4 * N)  # may overflow: g(su) then blows up
         gu = g(su)
         g_max = np.max(np.abs(gu), axis=1)
         # the relative term admits plain rounding at the scale of g(u) (some

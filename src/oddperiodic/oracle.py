@@ -350,8 +350,11 @@ def pointwise_residual(problem, u: OddPeriodicFunction,
 
 
 def ode_residual(problem, u: OddPeriodicFunction) -> float:
-    """max of :func:`pointwise_residual` over a 4N-point grid."""
-    return float(np.max(pointwise_residual(problem, u, 4 * u.modes)[1]))
+    """max of :func:`pointwise_residual` on 4N points; inf if u'' overflows."""
+    try:
+        return float(np.max(pointwise_residual(problem, u, 4 * u.modes)[1]))
+    except ValueError:  # the series constructor refuses an overflowing u''
+        return math.inf
 
 
 def _slope_bracket(u: OddPeriodicFunction) -> tuple[float, float]:

@@ -79,10 +79,10 @@ class SolveReport:
 
     ``regime`` is one of ``certified_contraction``, ``uncertified_picard``
     or ``continuation``.  ``failure`` is None on success, else ``max_iter``,
-    ``non_finite`` or ``step_underflow``; the best iterate is still
-    returned.  ``max_iterate_norm`` tracks sup|u_j| over every finite
-    iterate seen; the a-priori bound is checked against the norm of each
-    accepted continuation stage solution instead.
+    ``non_finite``, ``step_underflow`` or ``apriori_violation``; the best
+    iterate is still returned.  ``max_iterate_norm`` tracks sup|u_j| over
+    every finite iterate seen; the a-priori bound is checked against the
+    norm of each converged continuation stage solution instead.
     """
 
     solution: OddPeriodicFunction
@@ -154,8 +154,14 @@ def solve_many(problems, *, method: str = "auto", tol: float = DEFAULT_TOL,
         if method == "picard" or (method == "auto" and (
                 cert is not None and cert.holds or not problem.majorants)):
             rows.append(_picard_row(problem, None, modes))
+        elif not problem.majorants:
+            raise MajorantError(
+                "continuation requires a sublinearity declaration: g must "
+                f"carry majorant pairs, but {problem.g.name!r} has none")
         else:
-            rows.append(_continuation_row(problem, modes))
+            N = max(int(modes), problem.k.modes)
+            rows.append(_ContinuationRow(problem, "continuation", np.zeros(N),
+                                         0.0, problem.apriori_bound))
     return _drive(rows, tol, max_iter)
 
 
@@ -188,7 +194,7 @@ def solve_picard(problem, *, initial_guess: OddPeriodicFunction | None = None,
 
 
 def solve_continuation(problem, *, tol: float = DEFAULT_TOL,
-                       max_iter_per_step: int = 5000,
+                       max_iter_per_step: int = DEFAULT_MAX_ITER,
                        modes: int = DEFAULT_MODES) -> SolveReport:
     """Homotopy in the scaling of the solution map: u = lam * map(u).
 
@@ -204,14 +210,14 @@ def solve_continuation(problem, *, tol: float = DEFAULT_TOL,
     the coefficient step).  A stage that meets a non-finite g(u), or whose
     step or iterate overflows, fails.
 
-    When the declared majorants admit an a-priori bound, every accepted
-    stage solution is checked against it; a violation would mean numerical
-    breakdown and raises ``RuntimeError``.
+    When the declared majorants admit an a-priori bound, every converged
+    stage solution is checked against it before it is accepted; one above
+    it means numerical breakdown and ends the solve on the last accepted
+    stage as ``failure="apriori_violation"``.  This is :func:`solve` with
+    ``method="continuation"``, whose ``max_iter`` caps each stage.
     """
-    _check_limits(tol, max_iter_per_step)
-    row = _continuation_row(problem, modes)
-    (report,) = _drive([row], tol, max_iter_per_step)
-    return report
+    return solve(problem, method="continuation", tol=tol,
+                 max_iter=max_iter_per_step, modes=modes)
 
 
 def _check_limits(tol, max_iter) -> None:
@@ -236,17 +242,6 @@ def _picard_row(problem, initial_guess, modes) -> _Row:
     regime = ("certified_contraction" if cert is not None and cert.holds
               else "uncertified_picard")
     return _Row(problem, regime, u.coeffs, sup_norm(u))
-
-
-def _continuation_row(problem, modes) -> _ContinuationRow:
-    """The solve of :func:`solve_continuation` as a row of :func:`_drive`."""
-    if not problem.majorants:
-        raise MajorantError(
-            "continuation requires a sublinearity declaration: g must "
-            f"carry majorant pairs, but {problem.g.name!r} has none")
-    N = max(int(modes), problem.k.modes)
-    return _ContinuationRow(problem, "continuation", np.zeros(N), 0.0,
-                            problem.apriori_bound)
 
 
 class _Row:
@@ -307,15 +302,14 @@ class _ContinuationRow(_Row):
     lam = lam_step = _LAMBDA_STEP
 
     def end_stage(self, converged, blown, b, last_norm, tol) -> bool:
+        if converged and self.bound is not None and (
+                last_norm > self.bound * (1 + 1e-9) + 10 * tol):
+            self.failure = "apriori_violation"
+            return False
         if converged:
             self.accepted = self.lam
             self.start, self.step_norms = b.copy(), self.hist
             self.lambda_path.append(self.lam)
-            if (self.bound is not None
-                    and last_norm > self.bound * (1 + 1e-9) + 10 * tol):
-                raise RuntimeError(
-                    "accepted continuation solution violates the a-priori "
-                    "bound; this indicates numerical breakdown")
             if self.lam >= 1.0:
                 self.converged = True
                 return False
@@ -469,14 +463,16 @@ def uniqueness_probe(problem, trials: int, *, tol: float = DEFAULT_TOL,
 
     Runs :func:`solve_picard` from ``trials`` random initial guesses
     (coefficients uniform in [-10, 10] on modes 1..8, seeded for
-    reproducibility) and measures the maximum pairwise sup-norm distance of
-    the converged solutions.
+    reproducibility) as one lockstep batch and measures the maximum
+    pairwise sup-norm distance of the converged solutions.
 
     Raises
     ------
     ValueError
         If the certificate does not hold (the guarantee being probed would
-        not apply) or trials < 2.
+        not apply), trials < 2 or ``tol`` is out of range.
+    RuntimeError
+        If a trial does not converge (the first such trial's failure).
     """
     if trials < 2:
         raise ValueError("trials must be >= 2")
@@ -485,19 +481,17 @@ def uniqueness_probe(problem, trials: int, *, tol: float = DEFAULT_TOL,
         raise ValueError(
             f"uniqueness probe requires a holding certificate; lambda = "
             f"{cert.factor:.4g} >= 1")
-    rng = np.random.default_rng(seed)
-    solutions = []
-    for _ in range(trials):
-        guess = OddPeriodicFunction(problem.period, rng.uniform(-10.0, 10.0, 8))
-        report = solve_picard(problem, initial_guess=guess, tol=tol, modes=modes)
+    _check_limits(tol, DEFAULT_MAX_ITER)
+    guesses = np.random.default_rng(seed).uniform(-10.0, 10.0, (trials, 8))
+    rows = [_picard_row(problem, OddPeriodicFunction(problem.period, b), modes)
+            for b in guesses]
+    reports = _drive(rows, tol, DEFAULT_MAX_ITER)
+    for report in reports:
         if not report.converged:
             raise RuntimeError(
                 "probe solve failed to converge in the certified regime; "
                 f"failure={report.failure!r}")
-        solutions.append(report.solution)
-    max_distance = 0.0
-    for i in range(trials):
-        for j in range(i + 1, trials):
-            max_distance = max(max_distance, sup_norm(solutions[i] - solutions[j]))
+    max_distance = max(sup_norm(a.solution - b.solution)
+                       for i, a in enumerate(reports) for b in reports[i + 1:])
     return ProbeResult(agrees=max_distance <= 100.0 * tol,
                        max_distance=max_distance, trials=trials)

@@ -215,6 +215,13 @@ class TestSupNorm:
         u = OddPeriodicFunction(T2PI, [1.0, 1.0])
         assert sup_norm(u) <= np.max(np.abs(grid_samples(u, 1_000_000))) + 1e-15
 
+    def test_grid_values_beyond_the_float_range_read_inf(self):
+        # finite coefficients whose transform overflows: inf, no warning
+        assert sup_norm(OddPeriodicFunction(1.0, [1.5e308, 1.5e308])) == np.inf
+        # an overflow inside the transform only
+        u = OddPeriodicFunction(1.0, [-1e308, -1e308])
+        assert 1.7e308 < sup_norm(u) < np.inf
+
 
 class TestMean:
     def test_odd_series_mean_zero(self):

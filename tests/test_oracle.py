@@ -247,6 +247,11 @@ class TestResidual:
         assert ode_residual(zero_problem(), u) == np.max(
             pointwise_residual(zero_problem(), u, 4)[1])
 
+    def test_overflowing_second_derivative_reads_inf(self):
+        # at T = 1e-103 the mode's (2 pi / T)^2 = 4e207 takes u'' past 1e308
+        p = builtin("zero", period=1e-103, forcing=[(1, 1.0)])
+        assert ode_residual(p, OddPeriodicFunction(1e-103, [-1e101])) == np.inf
+
     def test_end_to_end_solver_residual(self):
         p = builtin("pendulum", {"a": 0.04}, period=T2PI, forcing=[(1, 0.05)])
         report = solve_picard(p)

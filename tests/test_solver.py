@@ -41,6 +41,12 @@ def pendulum(a=0.04, amp=0.05, T=T2PI):
     return builtin("pendulum", {"a": a}, period=T, forcing=[(1, amp)])
 
 
+def tanh_at_2pi():
+    """``configs/tanh.json``: outside the certificate, inside the a-priori
+    bound."""
+    return builtin("tanh_g", {"s": 1.0}, period=T2PI, forcing=[(1, 0.5)])
+
+
 class TestCertify:
     def test_weak_pendulum_holds(self):
         cert = certify(pendulum())
@@ -193,6 +199,33 @@ class TestSolveContinuation:
         assert report.failure == "step_underflow"
         assert report.lambda_path == [] or report.lambda_path[-1] < 1.0
 
+    def test_apriori_violation_reported_not_raised(self, monkeypatch):
+        import oddperiodic.solver as solver
+
+        p = tanh_at_2pi()
+        monkeypatch.setattr(p, "apriori_bound", 1e-3)
+        applied = []
+        nonlinear_parts = solver._nonlinear_parts
+
+        def counting(g, rows, forcing):
+            applied.append(len(rows))
+            return nonlinear_parts(g, rows, forcing)
+
+        monkeypatch.setattr(solver, "_nonlinear_parts", counting)
+        report = solve_continuation(p, modes=64)
+        assert (report.converged, report.failure, report.lambda_path) == \
+            (False, "apriori_violation", [])
+        # the maps of the stage that broke the bound still count
+        assert report.iterations == sum(applied) > 0
+        assert report.max_iterate_norm > report.apriori_bound == 1e-3
+
+    def test_same_stage_cap_as_solve(self):
+        def default(func, name):
+            return inspect.signature(func).parameters[name].default
+
+        assert default(solve_continuation, "max_iter_per_step") == \
+            default(solve, "max_iter") == default(solve_many, "max_iter")
+
     def test_rejects_bad_tol_like_picard(self):
         p = builtin("tanh_g", {"s": 1.0}, period=T2PI, forcing=[(1, 0.5)])
         for method in ("picard", "continuation"):
@@ -283,6 +316,32 @@ class TestUniquenessProbe:
     def test_requires_two_trials(self):
         with pytest.raises(ValueError):
             uniqueness_probe(pendulum(), 1)
+
+    def test_trials_are_one_batch_bitwise_as_separate_solves(self,
+                                                             monkeypatch):
+        import oddperiodic.solver as solver
+
+        p, trials, seed = pendulum(), 6, 3
+        rng = np.random.default_rng(seed)
+        solutions = [solve_picard(p, initial_guess=OddPeriodicFunction(
+            T2PI, rng.uniform(-10.0, 10.0, 8))).solution
+            for _ in range(trials)]
+        expected = 0.0
+        for i in range(trials):
+            for j in range(i + 1, trials):
+                expected = max(expected, sup_norm(solutions[i] - solutions[j]))
+        batches = []
+        drive = solver._drive
+
+        def counted(rows, *args):
+            batches.append(len(rows))
+            return drive(rows, *args)
+
+        monkeypatch.setattr(solver, "_drive", counted)
+        result = uniqueness_probe(p, trials, seed=seed)
+        assert batches == [trials]
+        assert result.max_distance.hex() == expected.hex()
+        assert (result.agrees, result.trials) == (expected <= 1e-10, trials)
 
 
 def reference_picard(problem, modes, tol=1e-12, max_iter=10_000):
@@ -472,8 +531,7 @@ class TestSolveMany:
         assert_same_report(solve(p, method="picard", modes=32),
                            solve_picard(p, modes=32))
         assert_same_report(solve(p, method="continuation", modes=32),
-                           solve_continuation(p, modes=32,
-                                              max_iter_per_step=10_000))
+                           solve_continuation(p, modes=32))
 
     def test_every_row_outcome_in_one_batch(self):
         # one batch of 32 modes whose rows end in each way a row can end
@@ -598,6 +656,19 @@ class TestSolveMany:
         assert report.converged
         assert_same_report(report, solve(healthy, method=method))
 
+    def test_an_apriori_violation_ends_its_row_alone(self, monkeypatch):
+        healthy, violating = tanh_at_2pi(), tanh_at_2pi()
+        monkeypatch.setattr(violating, "apriori_bound", 1e-3)
+        broken, report = solve_many([violating, healthy],
+                                    method="continuation", modes=64)
+        assert_same_report(report, solve(healthy, method="continuation",
+                                         modes=64))
+        # the first stage converges above the bound: nothing is accepted
+        assert (broken.converged, broken.failure, broken.lambda_path,
+                broken.step_norms) == (False, "apriori_violation", [], [])
+        assert not broken.solution.coeffs.any()
+        assert broken.iterations > 0
+
 
 class TestSolvePolicy:
     """``solve(method="auto")``: one test per branch of the policy."""
@@ -714,16 +785,44 @@ def _accepted_problems(draw):
 @given(problems=st.lists(_accepted_problems(), min_size=1, max_size=3),
        method=st.sampled_from(["auto", "picard", "continuation"]),
        tol=st.sampled_from([5e-324, 1e-12, 1e300]),
-       max_iter=st.integers(1, 50), modes=st.integers(1, 16))
+       max_iter=st.integers(1, 50), modes=st.integers(1, 16),
+       guess=st.lists(_signed_decades(-308, 308), min_size=1, max_size=16),
+       trials=st.integers(2, 3), seed=st.integers(0, 2 ** 32 - 1))
 # an iterate that overflows after the inverse's gains
 @example(problems=[builtin("linear", {"c": 0.01}, period=1e150,
                            forcing=[(1, 1.0)])],
-         method="picard", tol=1e-12, max_iter=50, modes=16)
+         method="picard", tol=1e-12, max_iter=50, modes=16,
+         guess=[1.0], trials=2, seed=0)
+# a guess whose u'' overflows at T = 1e-103 ends the solve as itself
+@example(problems=[builtin("cubic", {"c3": 1.0}, period=1e-103,
+                           forcing=[(1, 1.0)])],
+         method="auto", tol=5e-324, max_iter=1, modes=1,
+         guess=[-1e101], trials=2, seed=0)
+# a guess whose grid values overflow
+@example(problems=[builtin("zero", period=1.0, forcing=[(1, 1.0)])],
+         method="auto", tol=5e-324, max_iter=1, modes=1,
+         guess=[-1e308, -1e308], trials=2, seed=0)
 def test_every_accepted_problem_ends_in_reports(problems, method, tol,
-                                                 max_iter, modes):
-    """solve_many and shooting_distances end in their results, or in
-    MajorantError for continuation without a majorant, and never in a
-    warning (which the test settings make an error)."""
+                                                 max_iter, modes, guess,
+                                                 trials, seed):
+    """solve_many, solve_picard from an initial guess, uniqueness_probe
+    where the certificate holds and shooting_distances end in their
+    results, or in their documented exceptions, and never in a warning
+    (which the test settings make an error)."""
+    first = problems[0]
+    report = solve_picard(first, tol=tol, max_iter=max_iter, modes=modes,
+                          initial_guess=OddPeriodicFunction(first.period,
+                                                            guess))
+    assert report.failure in (None, "max_iter", "non_finite")
+    assert report.converged == (report.failure is None)
+    for problem in problems:
+        if problem.certificate is not None and problem.certificate.holds:
+            try:
+                probe = uniqueness_probe(problem, trials, tol=tol, seed=seed,
+                                         modes=modes)
+            except RuntimeError:  # a trial that does not converge
+                continue
+            assert probe.trials == trials
     try:
         reports = solve_many(problems, method=method, tol=tol,
                              max_iter=max_iter, modes=modes)
@@ -733,7 +832,7 @@ def test_every_accepted_problem_ends_in_reports(problems, method, tol,
         return
     for report in reports:
         assert report.failure in (None, "max_iter", "non_finite",
-                                  "step_underflow")
+                                  "step_underflow", "apriori_violation")
         assert report.converged == (report.failure is None)
     distances = shooting_distances(problems, [r.solution for r in reports])
     assert len(distances) == len(problems)

@@ -11,12 +11,12 @@ temporary directory holding a copy of ``configs/``, a fixed set of
 malformed solution files for ``verify`` to refuse, the files of the
 ``verify`` runs that take the oracle's bracket phase, a fixed set of
 configs that take the error and override paths of a problem's certificate
-and a-priori bound, and a config whose iterates overflow.  It then
-compares what the two runs left: every record on stdout, every stderr,
-every exit code, and every CSV and sidecar written.  The only part left
-out is the ``wall_time_s`` field of records and sidecars.  The names of
-the files that differ are printed, and the exit code is 1 if any differ,
-else 0.
+and a-priori bound, a config forced at two modes, and a config whose
+iterates overflow.  It then compares what the two runs left: every record
+on stdout, every stderr, every exit code, and every CSV and sidecar
+written.  The only part left out is the ``wall_time_s`` field of records
+and sidecars.  The names of the files that differ are printed, and the
+exit code is 1 if any differ, else 0.
 
 Standard library only.  The two trees run side by side, one command at a
 time each; on two cores the whole set takes about 40 s.
@@ -115,6 +115,15 @@ def derived_constant_configs() -> dict[str, str]:
             for name, override in overrides.items()}
 
 
+def multi_mode_configs() -> dict[str, str]:
+    """Configs by file name: ``configs/tanh.json`` forced at modes 1 and 3
+    (amplitudes 1 and 0.5), so that its a-priori bound and the oracle's
+    samples of k take more than one forcing mode."""
+    base = json.loads((CONFIGS / "tanh.json").read_text())
+    forcing = [{"mode": 1, "amplitude": 1.0}, {"mode": 3, "amplitude": 0.5}]
+    return {"tanh_two_modes.json": json.dumps(dict(base, forcing=forcing))}
+
+
 def overflowing_configs() -> dict[str, str]:
     """Configs by file name: ``configs/linear_small.json`` at period
     1e150, where the inverse's gains (T/(2*pi*n))^2 ~ 2.5e297 make the
@@ -175,6 +184,15 @@ def commands() -> list[list[str]]:
                    "--out", f"{stem}_period.csv"),
             _sweep(cfg, "a", 0.01, 0.06, 6, 64, "--out", f"{stem}_a.csv"),
         ]
+    # a forcing of two modes: continuation against its a-priori bound, the
+    # oracle, and a period sweep
+    for cfg in multi_mode_configs():
+        stem = cfg.removesuffix(".json")
+        cmds += [["solve", cfg, "--method", "continuation", "--modes", "128",
+                  "--out", f"{stem}_continuation.csv"],
+                 ["compare", cfg, "--modes", "128"],
+                 _sweep(cfg, "period", 0.5, 6.0, 5, 64,
+                        "--out", f"{stem}_period.csv")]
     # iterates that overflow: in a solve of each method, in compare, and in
     # sweep rows of huge periods
     for cfg in overflowing_configs():
@@ -197,6 +215,7 @@ def run_all(src: Path, workdir: Path) -> None:
     shutil.copytree(CONFIGS, workdir / "configs")
     for name, text in {**malformed_solutions(), **shooting_inputs(),
                        **derived_constant_configs(),
+                       **multi_mode_configs(),
                        **overflowing_configs()}.items():
         (workdir / name).write_bytes(text.encode())
     env = dict(os.environ)
