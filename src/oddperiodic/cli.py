@@ -4,8 +4,9 @@ Machine-readable throughout: every command prints one JSON run record to
 stdout (sorted keys, so records are byte-stable up to the wall-time field),
 dense function data goes to CSV with header ``t,u,u_prime,residual_pointwise``
 and shortest-round-trip decimal floats.  A command's handler returns its
-options, outcome and exit code, or raises ProblemError; :func:`main` builds
-and prints the one record.
+outcome and exit code, or raises ProblemError; :func:`main` checks the
+limit flags with the library's rule, records every flag it parsed as the
+options and builds and prints the one record.
 
 Exit codes: 0 success, 2 input/validation error, 3 certificate does not
 hold, 4 non-convergence (best iterate still written), 5 verification
@@ -41,7 +42,8 @@ from .oracle import (
     pointwise_residual,
     shooting_distances,
 )
-from .problems import MAX_MODES, ProblemError, _decode, make_problem, parse_problem
+from .problems import (MAX_MODES, ProblemError, _check_limits, _decode,
+                       make_problem, parse_problem)
 from .solver import (
     DEFAULT_MAX_ITER,
     DEFAULT_MODES,
@@ -139,7 +141,7 @@ def cmd_certify(args, cfg, problem):
         raise ProblemError("no_derivative_bound", str(exc))
     outcome = cert.as_dict()
     outcome["threshold"] = 2.0 / problem.period ** 2
-    return {}, outcome, EXIT_OK if cert.holds else EXIT_NO_CERT
+    return outcome, EXIT_OK if cert.holds else EXIT_NO_CERT
 
 
 def cmd_solve(args, cfg, problem):
@@ -154,11 +156,7 @@ def cmd_solve(args, cfg, problem):
     _write_csv(args.out, CSV_HEADER,
                [np.arange(P) * (problem.period / P), uvals,
                 grid_samples(differentiate(u, 1), P), res])
-    options = {"method": args.method, "tol": args.tol,
-               "max_iter": args.max_iter, "modes": args.modes,
-               "out": str(args.out)}
-    return (options, _report_outcome(report),
-            EXIT_OK if report.converged else EXIT_NO_CONV)
+    return _report_outcome(report), EXIT_OK if report.converged else EXIT_NO_CONV
 
 
 def _lines(fh, limit: int):
@@ -244,23 +242,22 @@ def cmd_verify(args, cfg, problem):
     except (OSError, ValueError, csv.Error) as exc:
         raise ProblemError("bad_document", f"cannot read solution file: {exc}") from None
     outcome = _verdict(problem, u_col, args.tol)
-    return ({"tol": args.tol, "solution": args.solution}, outcome,
-            EXIT_OK if outcome["passed"] else EXIT_VERIFY)
+    return outcome, EXIT_OK if outcome["passed"] else EXIT_VERIFY
 
 
 def cmd_sweep(args, cfg, base_problem):
+    start, stop = getattr(args, "from"), args.to
     # a finite width also rules out non-finite ends
-    if not (1 <= args.steps <= MAX_SWEEP_STEPS
-            and math.isfinite(args.stop - args.start)):
+    if not (1 <= args.steps <= MAX_SWEEP_STEPS and math.isfinite(stop - start)):
         raise ProblemError(
             "bad_range", f"need finite range and 1 <= steps <= {MAX_SWEEP_STEPS}")
-    if args.stop < args.start:
+    if stop < start:
         raise ProblemError("bad_range", "sweep range must have stop >= start")
     param = args.param
     if param != "period" and param not in (cfg.get("params") or {}):
         raise ProblemError("bad_range",
                            f"unknown sweep parameter {param!r} for this config")
-    values = np.linspace(args.start, args.stop, args.steps).tolist()
+    values = np.linspace(start, stop, args.steps).tolist()
     if param == "period":
         # every row shares the base problem's g, so a batched step makes
         # one g call for all rows
@@ -289,16 +286,12 @@ def cmd_sweep(args, cfg, base_problem):
                           report.iterations, sup_norm(report.solution),
                           report.residual, distance))
     _write_csv(args.out, SWEEP_COLUMNS, list(zip(*table)))
-    options = {"param": param, "from": args.start, "to": args.stop,
-               "steps": args.steps, "tol": args.tol, "out": str(args.out)}
     rows = [dict(zip(SWEEP_COLUMNS, row)) for row in table]
-    return options, {"rows": rows, "out": str(args.out)}, EXIT_OK
+    return {"rows": rows, "out": str(args.out)}, EXIT_OK
 
 
 def cmd_compare(args, cfg, problem):
-    results: dict[str, dict] = {}
-    solutions = {}
-    reports = {}
+    results, solutions = {}, {}
     for method in ("picard", "continuation"):  # only continuation needs majorants
         try:
             report = solve(problem, method=method, tol=args.tol,
@@ -306,7 +299,6 @@ def cmd_compare(args, cfg, problem):
         except MajorantError as exc:
             results[method] = {"skipped": str(exc)}
             continue
-        reports[method] = report
         results[method] = _report_outcome(report)
         if report.converged:
             solutions[method] = report.solution
@@ -330,14 +322,10 @@ def cmd_compare(args, cfg, problem):
                  for a, b in itertools.combinations(sorted(solutions), 2)}
 
     outcome = {"methods": results, "distances": distances}
-    options = {"tol": args.tol, "max_iter": args.max_iter, "modes": args.modes}
-    if not all(report.converged for report in reports.values()):
-        code = EXIT_NO_CONV
-    elif "shooting" not in solutions:
-        code = EXIT_VERIFY
-    else:
-        code = EXIT_OK
-    return options, outcome, code
+    # every method that ran reports whether it converged
+    if not all(result.get("converged", True) for result in results.values()):
+        return outcome, EXIT_NO_CONV
+    return outcome, EXIT_OK if "shooting" in solutions else EXIT_VERIFY
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -377,8 +365,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add_command("sweep", cmd_sweep, "solve across a parameter range")
     p.add_argument("--param", required=True,
                    help="'period' or a family parameter name")
-    p.add_argument("--from", dest="start", type=float, required=True)
-    p.add_argument("--to", dest="stop", type=float, required=True)
+    p.add_argument("--from", type=float, required=True, metavar="START")
+    p.add_argument("--to", type=float, required=True, metavar="STOP")
     p.add_argument("--steps", type=int, required=True)
     add_solver_flags(p)
     p.add_argument("--out", type=Path, default="sweep.csv")
@@ -391,23 +379,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command and print its one JSON record: the run record the
-    command's handler fills in, or an error record.  Returns the exit code."""
+    """Run one command and print its one JSON record: the run record, whose
+    options are every flag parsed and whose outcome the command's handler
+    returns, or an error record.  Returns the exit code."""
     args = _build_parser().parse_args(argv)
     t0 = time.perf_counter()
+    options = {key: str(value) if isinstance(value, Path) else value
+               for key, value in vars(args).items()
+               if key not in ("command", "config", "handler")}
     try:
-        if hasattr(args, "modes") and not 1 <= args.modes <= MAX_MODES:
-            raise ProblemError(
-                "bad_modes", f"--modes {args.modes} is outside 1..{MAX_MODES}")
-        if hasattr(args, "tol") and not 0 < args.tol < math.inf:
-            raise ProblemError(
-                "bad_tol", f"--tol {args.tol} is not a positive finite number")
-        if hasattr(args, "max_iter") and args.max_iter < 1:
-            raise ProblemError(
-                "bad_max_iter", f"--max-iter {args.max_iter} is below 1")
+        _check_limits(*map(options.get, ("modes", "tol", "max_iter")))
         cfg = _decode(Path(args.config).read_bytes())
         problem = parse_problem(cfg)
-        options, outcome, code = args.handler(args, cfg, problem)
+        outcome, code = args.handler(args, cfg, problem)
         record = {
             "command": args.command,
             "label": problem.label,

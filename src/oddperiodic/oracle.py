@@ -31,7 +31,7 @@ from .funcspace import (
     grid_samples,
     sup_norm,
 )
-from .problems import _row_values
+from .problems import _check_limits, _row_values
 
 __all__ = [
     "Trajectory",
@@ -358,8 +358,12 @@ def ode_residual(problem, u: OddPeriodicFunction) -> float:
 
 
 def _slope_bracket(u: OddPeriodicFunction) -> tuple[float, float]:
-    """A shooting bracket centred on the candidate's spectral slope u'(0)."""
-    v0_guess = float(differentiate(u, 1)(0.0))
+    """A shooting bracket centred on the candidate's spectral slope u'(0),
+    or NaN ends, which blow up the first shot, where u' overflows."""
+    try:
+        v0_guess = float(differentiate(u, 1)(0.0))
+    except ValueError:  # the series constructor refuses an overflowing u'
+        return math.nan, math.nan
     delta = 0.5 * (1.0 + abs(v0_guess))
     return v0_guess - delta, v0_guess + delta
 
@@ -370,8 +374,10 @@ def cross_validate(problem, u: OddPeriodicFunction,
 
     Shooting is seeded from the candidate's own spectral slope u'(0), so it
     converges to the same branch when the candidate is genuine.  Passes iff
-    the sup-norm distance and both equation residuals are <= tol.
+    the sup-norm distance and both equation residuals are <= tol.  Raises
+    ProblemError ``bad_tol`` first, and BlowUpError where u' overflows.
     """
+    _check_limits(tol=tol)
     shot = shoot(problem, _slope_bracket(u))
     distance = sup_norm(u - shot.reconstructed)
     res_u = ode_residual(problem, u)
@@ -385,7 +391,7 @@ def cross_validate(problem, u: OddPeriodicFunction,
 def shooting_distances(problems, candidates) -> list[float]:
     """The ``distance`` of :func:`cross_validate` for each problem and its
     candidate, bitwise, without the equation residuals; NaN where shooting
-    is inconclusive or blows up.
+    is inconclusive or blows up, as where the candidate's u' overflows.
 
     The first midpoints of all rows are shot in one vectorized RK4 loop.
     A row whose midpoint meets the boundary tolerance is reconstructed from

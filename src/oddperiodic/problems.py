@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 
-# Ceiling on a forcing mode and on the CLI's --modes: far above any practical
+# Ceiling on a forcing mode and on a solve's modes: far above any practical
 # N, low enough that no input can make an allocation kill the process.
 MAX_MODES = 2**16
 
@@ -68,6 +68,19 @@ def _shown(value) -> str:
         return repr(value)
     except ValueError:
         return f"<{type(value).__name__}>"
+
+
+def _check_limits(modes=None, tol=None, max_iter=None) -> None:
+    """The one check of the solve limits, for CLI flags and library calls alike:
+    ProblemError ``bad_modes``, ``bad_tol`` or ``bad_max_iter`` for the first given
+    (not None) of modes outside 1..MAX_MODES, tol not in (0, inf), max_iter < 1."""
+    if modes is not None and not 1 <= modes <= MAX_MODES:
+        raise ProblemError("bad_modes", f"modes must be in 1..{MAX_MODES}, got {_shown(modes)}")
+    if tol is not None and not 0 < tol < math.inf:
+        raise ProblemError("bad_tol", f"tol must be positive and finite, got {tol!r}")
+    if max_iter is not None and not max_iter >= 1:
+        raise ProblemError("bad_max_iter",
+                           f"the iteration cap must be at least 1, got {_shown(max_iter)}")
 
 
 def _number(value, code: str, what: str) -> float:

@@ -39,7 +39,7 @@ import numpy as np
 from .funcspace import OddPeriodicFunction, _sup_norms, sup_norm
 from .operators import _check_period, _forcing, _neg_gains, _nonlinear_parts
 from .oracle import ode_residual
-from .problems import ContractionCertificate, _row_values
+from .problems import ContractionCertificate, _check_limits, _row_values
 
 __all__ = [
     "ContractionCertificate",
@@ -144,10 +144,13 @@ def solve_many(problems, *, method: str = "auto", tol: float = DEFAULT_TOL,
     g declares no majorant, continuation otherwise.  Each report carries
     the certificate its problem derived at validation.  The rows of
     one working size step together as one array (see :func:`_drive`).
+    Raises ProblemError ``bad_modes``, ``bad_tol`` or ``bad_max_iter``
+    before any problem is looked at (see :func:`problems._check_limits`),
+    and MajorantError where continuation meets a g without majorants.
     """
     if method not in ("auto", "picard", "continuation"):
         raise ValueError(f"unknown method {method!r}")
-    _check_limits(tol, max_iter)
+    _check_limits(modes, tol, max_iter)
     rows = []
     for problem in problems:
         cert = problem.certificate
@@ -174,7 +177,8 @@ def solve_picard(problem, *, initial_guess: OddPeriodicFunction | None = None,
     regime convergence is guaranteed; outside it, non-convergence is a
     reportable outcome (``converged=False`` with diagnostics), not an error:
     an iterate whose g(u), step or coefficients leave the finite range ends
-    the solve as ``failure="non_finite"``.
+    the solve as ``failure="non_finite"``.  Limits out of range raise
+    ProblemError as in :func:`solve_many`.
 
     Parameters
     ----------
@@ -187,7 +191,7 @@ def solve_picard(problem, *, initial_guess: OddPeriodicFunction | None = None,
     modes : int
         Working truncation order (raised to the forcing's order if needed).
     """
-    _check_limits(tol, max_iter)
+    _check_limits(modes, tol, max_iter)
     row = _picard_row(problem, initial_guess, modes)
     (report,) = _drive([row], tol, max_iter)
     return report
@@ -214,20 +218,10 @@ def solve_continuation(problem, *, tol: float = DEFAULT_TOL,
     stage solution is checked against it before it is accepted; one above
     it means numerical breakdown and ends the solve on the last accepted
     stage as ``failure="apriori_violation"``.  This is :func:`solve` with
-    ``method="continuation"``, whose ``max_iter`` caps each stage.
+    ``method="continuation"`` (``max_iter`` caps each stage) and raises as it does.
     """
     return solve(problem, method="continuation", tol=tol,
                  max_iter=max_iter_per_step, modes=modes)
-
-
-def _check_limits(tol, max_iter) -> None:
-    """The one check of both solve methods' limits, made before a problem
-    is looked at."""
-    if not 0 < tol < float("inf"):
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    if not max_iter >= 1:
-        raise ValueError(f"the iteration cap must be at least 1, "
-                         f"got {max_iter!r}")
 
 
 def _picard_row(problem, initial_guess, modes) -> _Row:
@@ -468,12 +462,15 @@ def uniqueness_probe(problem, trials: int, *, tol: float = DEFAULT_TOL,
 
     Raises
     ------
+    ProblemError
+        ``bad_modes`` or ``bad_tol``, as in :func:`solve_many`, first.
     ValueError
         If the certificate does not hold (the guarantee being probed would
-        not apply), trials < 2 or ``tol`` is out of range.
+        not apply) or trials < 2.
     RuntimeError
         If a trial does not converge (the first such trial's failure).
     """
+    _check_limits(modes, tol)
     if trials < 2:
         raise ValueError("trials must be >= 2")
     cert = certify(problem)
@@ -481,7 +478,6 @@ def uniqueness_probe(problem, trials: int, *, tol: float = DEFAULT_TOL,
         raise ValueError(
             f"uniqueness probe requires a holding certificate; lambda = "
             f"{cert.factor:.4g} >= 1")
-    _check_limits(tol, DEFAULT_MAX_ITER)
     guesses = np.random.default_rng(seed).uniform(-10.0, 10.0, (trials, 8))
     rows = [_picard_row(problem, OddPeriodicFunction(problem.period, b), modes)
             for b in guesses]

@@ -5,6 +5,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import random
 import tracemalloc
 import warnings
@@ -782,6 +783,88 @@ class TestInputContract:
             assert res.stderr == ""
 
 
+def run_main(argv) -> tuple[int, dict]:
+    """``cli.main(argv)`` in this process: its exit code and its record."""
+    from oddperiodic import cli
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, read_record(out.getvalue())
+
+
+class TestRecordedOptions:
+    """A run record's options are every flag the command parsed, a path
+    as its string, and nothing else."""
+
+    @pytest.mark.parametrize("argv, options", [
+        (["certify"], {}),
+        (["solve", "--method", "picard", "--tol", "1e-10", "--max-iter", "50",
+          "--modes", "32", "--out", "./p.csv"],
+         {"method": "picard", "tol": 1e-10, "max_iter": 50, "modes": 32,
+          "out": "p.csv"}),
+        (["solve"], {"method": "auto", "tol": 1e-12, "max_iter": 10_000,
+                     "modes": 256, "out": "solution.csv"}),
+        (["verify", "good.csv", "--tol", "1e-4"],
+         {"tol": 1e-4, "solution": "good.csv"}),
+        (["sweep", "--param", "period", "--from", "4", "--to", "5",
+          "--steps", "2", "--tol", "1e-9", "--max-iter", "50", "--modes", "32",
+          "--out", "s.csv"],
+         {"param": "period", "from": 4.0, "to": 5.0, "steps": 2, "tol": 1e-9,
+          "max_iter": 50, "modes": 32, "out": "s.csv"}),
+        (["compare", "--tol", "1e-10", "--max-iter", "500", "--modes", "32"],
+         {"tol": 1e-10, "max_iter": 500, "modes": 32}),
+    ], ids=["certify", "solve", "solve_defaults", "verify", "sweep", "compare"])
+    def test_options_are_the_parsed_flags(self, tmp_path, monkeypatch, argv,
+                                          options):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, PENDULUM)
+        assert run_main(["solve", cfg, "--modes", "16", "--out", "good.csv"])[0] == 0
+        code, record = run_main([argv[0], cfg, *argv[1:]])
+        assert code == 0
+        assert record["options"] == options
+
+
+# the edges of each limit, and values far beyond them
+LIMIT_TOLS = [5e-324, 1e-12, 1.0, math.inf, -math.inf, math.nan, 0.0, -0.0,
+              -1.0]
+LIMIT_INTS = [0, 1, -1, MAX_MODES, MAX_MODES + 1]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["solve", "compare", "sweep"]),
+       tol=st.one_of(st.sampled_from(LIMIT_TOLS), st.floats()),
+       max_iter=st.one_of(st.sampled_from(LIMIT_INTS),
+                          st.integers(-2**70, 2**70)),
+       modes=st.one_of(st.sampled_from(LIMIT_INTS), st.integers(-2**70, 2**70)))
+@example(command="solve", tol=5e-324, max_iter=1, modes=MAX_MODES)
+@example(command="sweep", tol=math.nan, max_iter=1, modes=1)
+# modes is checked first, then tol, then max_iter
+@example(command="compare", tol=0.0, max_iter=0, modes=MAX_MODES + 1)
+@example(command="solve", tol=math.inf, max_iter=0, modes=1)
+def test_cli_refuses_the_limits_solve_refuses(tmp_path, command, tol,
+                                              max_iter, modes):
+    """The CLI's error code for the solver flags is the code solve raises,
+    or both accept them: then the CLI reads its config, which is missing
+    (bad_document), and solve builds its rows, whose loop is stubbed out."""
+    from oddperiodic import ProblemError, builtin, solve, solver
+
+    argv = [command, str(tmp_path / "missing.json"), f"--tol={tol!r}",
+            f"--max-iter={max_iter}", f"--modes={modes}"]
+    if command == "sweep":
+        argv += ["--param", "period", "--from", "1", "--to", "2", "--steps", "2"]
+    cli_code = run_main(argv)[1]["error"]["code"]
+    problem = builtin("pendulum", {"a": 0.04}, period=T2PI, forcing=[(1, 0.05)])
+    with mock.patch.object(solver, "_drive", lambda rows, *_: [None] * len(rows)):
+        try:
+            solve(problem, tol=tol, max_iter=max_iter, modes=modes)
+            solve_code = None
+        except ProblemError as exc:
+            solve_code = exc.code
+    assert cli_code == (solve_code or "bad_document")
+
+
 LINEAR_HUGE_PERIOD = {"family": "linear", "params": {"c": 0.01},
                       "period": 1e150}
 
@@ -985,10 +1068,11 @@ def fuzz_dir(tmp_path, monkeypatch):
     pendulum config at 8 modes and a directory, with the CLI's ceilings
     made small and every solve capped at 20 iterations (the flags are
     under test, not convergence)."""
-    from oddperiodic import cli
+    from oddperiodic import cli, problems
 
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "MAX_MODES", 8)
+    monkeypatch.setattr(problems, "MAX_MODES", 8)  # the --modes ceiling
     monkeypatch.setattr(cli, "MAX_SWEEP_STEPS", 3)
     for name in ("solve", "solve_many"):
         monkeypatch.setattr(cli, name, lambda *a, _f=getattr(cli, name), **kw: _f(

@@ -10,8 +10,10 @@ from oddperiodic import (
     BlowUpError,
     OddPeriodicFunction,
     OracleInconclusiveError,
+    ProblemError,
     builtin,
     cross_validate,
+    differentiate,
     grid_samples,
     integrate_ivp,
     make_problem,
@@ -29,6 +31,17 @@ T2PI = 2.0 * np.pi
 
 def zero_problem(forcing=((1, 1.0),)):
     return builtin("zero", period=T2PI, forcing=list(forcing))
+
+
+def overflowing_slope_candidate():
+    """cubic c3 = 1 at T = 1e-150 and the iterate solve_picard returns from
+    the guess 1e300 sin(2 pi t/T): its slope u' overflows."""
+    cubic = builtin("cubic", {"c3": 1.0}, period=1e-150, forcing=[(1, 1.0)])
+    report = solve_picard(cubic, initial_guess=OddPeriodicFunction(1e-150, [1e300]),
+                          max_iter=1)
+    with pytest.raises(ValueError):
+        differentiate(report.solution, 1)
+    return cubic, report.solution
 
 
 def reference_rk4(problem, v0, t_end, steps):
@@ -307,6 +320,22 @@ class TestCrossValidate:
         assert not cv.passed
         assert cv.distance == pytest.approx(0.1, rel=0.05)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_refuses_a_bad_tol_before_shooting(self, monkeypatch, tol):
+        def no_shot(*args):
+            raise AssertionError("shot before the tolerance was checked")
+
+        monkeypatch.setattr(oracle, "shoot", no_shot)
+        u = OddPeriodicFunction(T2PI, [-1.0])
+        with pytest.raises(ProblemError, match="tol must be positive") as info:
+            cross_validate(zero_problem(), u, tol=tol)
+        assert info.value.code == "bad_tol"
+
+    def test_overflowing_slope_blows_up(self):
+        cubic, u = overflowing_slope_candidate()
+        with pytest.raises(BlowUpError):
+            cross_validate(cubic, u)
+
     def test_oracle_never_touches_solver(self):
         # independence by inspection of imports, pinned here as a regression
         import oddperiodic.oracle as oracle_mod
@@ -416,6 +445,14 @@ class TestBatchedShots:
 
     def test_no_rows(self):
         assert shooting_distances([], []) == []
+
+    def test_an_overflowing_slope_is_a_nan_row(self):
+        cubic, bad = overflowing_slope_candidate()
+        pend = builtin("pendulum", {"a": 0.04}, period=T2PI, forcing=[(1, 0.05)])
+        u = solve_picard(pend).solution
+        (alone,) = shooting_distances([pend], [u])
+        distances = shooting_distances([cubic, pend], [bad, u])
+        assert np.isnan(distances[0]) and distances[1] == alone
 
     def test_a_lone_row_that_escapes(self):
         cubic = builtin("cubic", {"c3": -1.0}, period=T2PI, forcing=[(1, 1.0)])

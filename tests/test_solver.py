@@ -32,7 +32,7 @@ from oddperiodic import (
     uniqueness_probe,
 )
 from oddperiodic.operators import _forcing, _nonlinear_parts
-from oddperiodic.problems import FAMILIES, _row_values
+from oddperiodic.problems import FAMILIES, MAX_MODES, _row_values
 
 T2PI = 2.0 * np.pi
 
@@ -233,19 +233,45 @@ class TestSolveContinuation:
                 solve(p, method=method, tol=-1)
 
 
-class TestSolveLimits:
-    """The library refuses the limits the CLI refuses (bad_tol,
-    bad_max_iter) instead of reporting on them."""
+# each entry point that takes a working truncation order
+MODES_CALLS = {
+    "solve": lambda p, modes: solve(p, modes=modes),
+    "solve_many": lambda p, modes: solve_many([p], modes=modes),
+    "solve_picard": lambda p, modes: solve_picard(p, modes=modes),
+    "solve_continuation": lambda p, modes: solve_continuation(p, modes=modes),
+    "uniqueness_probe": lambda p, modes: uniqueness_probe(p, 3, modes=modes),
+}
+BAD_MODES = (0, -3, MAX_MODES + 1)
 
-    @pytest.mark.parametrize("call, match", [
-        (lambda p: solve(p, max_iter=-3), "iteration cap"),
-        (lambda p: solve(p, tol=float("inf")), "tol must be positive"),
-        (lambda p: solve_continuation(p, max_iter_per_step=0), "iteration cap"),
-    ], ids=["negative_max_iter", "infinite_tol", "zero_cap_per_stage"])
-    def test_refused(self, call, match):
+
+class TestSolveLimits:
+    """The library refuses the limits the CLI refuses, with the CLI's
+    codes (bad_modes, bad_tol, bad_max_iter), instead of reporting on
+    them, and before any row is built."""
+
+    @pytest.mark.parametrize("call, code, match", [
+        (lambda p: solve(p, max_iter=-3), "bad_max_iter", "iteration cap"),
+        (lambda p: solve(p, tol=float("inf")), "bad_tol", "tol must be positive"),
+        (lambda p: solve_continuation(p, max_iter_per_step=0), "bad_max_iter",
+         "iteration cap"),
+    ] + [(lambda p, f=f, m=m: f(p, m), "bad_modes", "modes must be in")
+         for f in MODES_CALLS.values() for m in BAD_MODES],
+        ids=["negative_max_iter", "infinite_tol", "zero_cap_per_stage"]
+        + [f"{name}_modes_{m}" for name in MODES_CALLS for m in BAD_MODES])
+    def test_refused(self, monkeypatch, call, code, match):
+        import oddperiodic.solver as solver
+
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a row was built before the limits were checked")
+
+        for name in ("_picard_row", "_ContinuationRow", "_drive"):
+            monkeypatch.setattr(solver, name, no_rows)
+        # tanh at 2*pi: continuation runs, and the certificate fails, so
+        # uniqueness_probe refuses the limit before the certificate
         p = builtin("tanh_g", {"s": 1.0}, period=T2PI, forcing=[(1, 0.5)])
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ProblemError, match=match) as info:
             call(p)
+        assert info.value.code == code
 
 
 class TestAprioriBound:

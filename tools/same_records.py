@@ -5,8 +5,8 @@ Usage:
     python tools/same_records.py PARENT_SRC CHANGE_SRC
 
 Each argument is a ``src`` directory that holds the ``oddperiodic``
-package.  The script runs one fixed set of CLI commands (below) once per
-tree, with that tree first on ``PYTHONPATH``, each tree in its own
+package.  The script runs one fixed set of 111 CLI commands (below) once
+per tree, with that tree first on ``PYTHONPATH``, each tree in its own
 temporary directory holding a copy of ``configs/``, a fixed set of
 malformed solution files for ``verify`` to refuse, the files of the
 ``verify`` runs that take the oracle's bracket phase, a fixed set of
@@ -161,6 +161,15 @@ def commands() -> list[list[str]]:
         for method in ("picard", "continuation"):
             cmds.append(["solve", cfg, "--method", method, "--modes", "128",
                          "--out", f"{name}_{method}.csv"])
+    # one refused value of each solver limit
+    cmds += [["solve", "configs/pendulum.json", "--modes", "0",
+              "--out", "limit_modes_0.csv"],
+             ["solve", "configs/pendulum.json", "--modes", "65537",
+              "--out", "limit_modes_65537.csv"],
+             _sweep("configs/pendulum.json", "period", 1.0, 12.0, 4, 64,
+                    "--tol", "nan", "--out", "limit_tol_nan.csv"),
+             ["compare", "configs/pendulum.json", "--max-iter", "0"],
+             ["verify", "configs/zero.json", "zero_64.csv", "--tol", "0"]]
     # the reader's error records
     cmds += [["verify", "configs/zero.json", name]
              for name in malformed_solutions()]
