@@ -6,7 +6,8 @@ dense function data goes to CSV with header ``t,u,u_prime,residual_pointwise``
 and shortest-round-trip decimal floats.  A command's handler returns its
 outcome and exit code, or raises ProblemError; :func:`main` checks the
 limit flags with the library's rule, records every flag it parsed as the
-options and builds and prints the one record.
+options and prints the one record: the run record, or an error record that
+carries each refusal's code as the library raised it.
 
 Exit codes: 0 success, 2 input/validation error, 3 certificate does not
 hold, 4 non-convergence (best iterate still written), 5 verification
@@ -28,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .funcspace import (
+    OddPeriodicFunction,
     OddSymmetryError,
     differentiate,
     from_samples,
@@ -35,6 +37,7 @@ from .funcspace import (
     sup_norm,
 )
 from .oracle import (
+    DEFAULT_CHECK_TOL,
     BlowUpError,
     OracleInconclusiveError,
     cross_validate,
@@ -43,12 +46,11 @@ from .oracle import (
     shooting_distances,
 )
 from .problems import (MAX_MODES, ProblemError, _check_limits, _decode,
-                       make_problem, parse_problem)
+                       _period, make_problem, parse_problem)
 from .solver import (
     DEFAULT_MAX_ITER,
     DEFAULT_MODES,
     DEFAULT_TOL,
-    CertificateError,
     MajorantError,
     certify,
     solve,
@@ -72,21 +74,11 @@ MAX_SWEEP_STEPS = 10_000
 SWEEP_PASS_COEFFS = 2**18
 
 
-def _finite_or_null(value):
-    """``value`` with every non-finite float inside it replaced by None."""
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {key: _finite_or_null(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_finite_or_null(item) for item in value]
-    return value
-
-
 def _dumps(record: dict) -> str:
-    """Strict JSON: a non-finite float is written as null, not as the
-    non-standard tokens Infinity and NaN."""
-    return json.dumps(_finite_or_null(record), indent=2, sort_keys=True)
+    """Strict JSON: json writes each non-finite float as a NaN or Infinity
+    token and reads it back as None, which is written as null."""
+    return json.dumps(json.loads(json.dumps(record), parse_constant=lambda _: None),
+                      indent=2, sort_keys=True)
 
 
 def _report_outcome(report) -> dict:
@@ -135,21 +127,15 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
 
 
 def cmd_certify(args, cfg, problem):
-    try:
-        cert = certify(problem)
-    except CertificateError as exc:
-        raise ProblemError("no_derivative_bound", str(exc))
+    cert = certify(problem)
     outcome = cert.as_dict()
     outcome["threshold"] = 2.0 / problem.period ** 2
     return outcome, EXIT_OK if cert.holds else EXIT_NO_CERT
 
 
 def cmd_solve(args, cfg, problem):
-    try:
-        report = solve(problem, method=args.method, tol=args.tol,
-                       max_iter=args.max_iter, modes=args.modes)
-    except MajorantError as exc:
-        raise ProblemError("no_majorant", str(exc))
+    report = solve(problem, method=args.method, tol=args.tol,
+                   max_iter=args.max_iter, modes=args.modes)
     u = report.solution
     P = 4 * u.modes
     uvals, res = pointwise_residual(problem, u, P)
@@ -260,11 +246,10 @@ def cmd_sweep(args, cfg, base_problem):
     values = np.linspace(start, stop, args.steps).tolist()
     if param == "period":
         # every row shares the base problem's g, so a batched step makes
-        # one g call for all rows
-        forcing = list(enumerate(base_problem.k.coeffs.tolist(), start=1))
-
+        # one g call for all rows, and its validated forcing coefficients
         def row_problem(value):
-            return make_problem(value, base_problem.g, forcing,
+            k = OddPeriodicFunction(_period(value), base_problem.k.coeffs)
+            return make_problem(value, base_problem.g, k,
                                 label=base_problem.label)
     else:
         def row_problem(value):
@@ -359,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_command("verify", cmd_verify, "re-check a solution file independently")
     p.add_argument("solution")
-    p.add_argument("--tol", type=float, default=1e-6,
+    p.add_argument("--tol", type=float, default=DEFAULT_CHECK_TOL,
                    help="acceptance tolerance for residuals and distance")
 
     p = add_command("sweep", cmd_sweep, "solve across a parameter range")

@@ -56,6 +56,8 @@ _STEPS_PER_PERIOD = 2048
 _SHOOT_TOL = 1e-11
 _RECONSTRUCTION_MODES = 256
 _HALF_PERIOD_STEPS = _STEPS_PER_PERIOD // 2
+# cross_validate's acceptance tolerance on the distance and both residuals
+DEFAULT_CHECK_TOL = 1e-6
 
 
 class BlowUpError(ArithmeticError):
@@ -369,7 +371,7 @@ def _slope_bracket(u: OddPeriodicFunction) -> tuple[float, float]:
 
 
 def cross_validate(problem, u: OddPeriodicFunction,
-                   tol: float = 1e-6) -> CrossValidation:
+                   tol: float = DEFAULT_CHECK_TOL) -> CrossValidation:
     """Check a claimed solution against an independent shooting solve.
 
     Shooting is seeded from the candidate's own spectral slope u'(0), so it

@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .funcspace import OddPeriodicFunction, sup_norm
+from .funcspace import OddPeriodicFunction
 from .operators import inverse_norm_bound
 
 __all__ = [
@@ -283,11 +283,11 @@ class Problem:
                                    f"finite lambda = bound * T^2/2 at period {self.period}")
             self.certificate = ContractionCertificate(
                 float(g.gprime_bound), nb, factor, factor < 1.0)
-        # the a-priori bound on sup|u|: the least (T^2/2) * (sup|k| + M) /
-        # (1 - eps * T^2/2) over the majorant pairs with eps < 2/T^2; the
-        # probe window scales with it.  A NaN eps is not skipped: its NaN
-        # bound is refused as a probe radius that is not finite.
-        k_norm = sup_norm(self.k)
+        # the a-priori bound on sup|u|: the least (T^2/2) * (sum|b_n| + M) /
+        # (1 - eps * T^2/2) over the majorant pairs with eps < 2/T^2, as
+        # sum|b_n| >= sup|k|; the probe window scales with it.  A NaN eps is
+        # not skipped: its NaN bound is refused as a non-finite probe radius.
+        k_norm = float(np.sum(np.abs(self.k.coeffs)))
         self.apriori_bound = min(
             (nb * (k_norm + M) / denom for eps, M in g.majorants
              if not (denom := 1.0 - eps * nb) <= 0.0), default=None)

@@ -39,7 +39,7 @@ import numpy as np
 from .funcspace import OddPeriodicFunction, _sup_norms, sup_norm
 from .operators import _check_period, _forcing, _neg_gains, _nonlinear_parts
 from .oracle import ode_residual
-from .problems import ContractionCertificate, _check_limits, _row_values
+from .problems import ContractionCertificate, ProblemError, _check_limits, _row_values
 
 __all__ = [
     "ContractionCertificate",
@@ -65,12 +65,18 @@ _LAMBDA_STEP = 0.1
 _MIN_LAMBDA_STEP = 1e-4
 
 
-class CertificateError(ValueError):
-    """No usable derivative bound is declared for g."""
+class CertificateError(ProblemError):
+    """No usable derivative bound is declared for g: no_derivative_bound."""
+
+    def __init__(self, message: str):
+        super().__init__("no_derivative_bound", message)
 
 
-class MajorantError(ValueError):
-    """No declared majorant pair is usable at this period."""
+class MajorantError(ProblemError):
+    """No declared majorant pair is usable at this period: no_majorant."""
+
+    def __init__(self, message: str):
+        super().__init__("no_majorant", message)
 
 
 @dataclass
@@ -437,7 +443,7 @@ def apriori_bound(problem) -> float:
 
         sup|u| <= (T^2/2) * (sup|k| + M) / (1 - eps * T^2/2),
 
-    and the returned value is the minimum over usable pairs.
+    and the returned value, with sum|b_n| for sup|k|, is the least over usable pairs.
 
     Raises
     ------

@@ -898,9 +898,10 @@ def test_sweep_row_takes_one_certificate_and_one_residual(tmp_path,
     import oddperiodic
     import oddperiodic.oracle as oracle
     import oddperiodic.solver as solver
-    from oddperiodic import Problem, cli
+    from oddperiodic import Problem, cli, problems
 
-    calls = {"certify": 0, "pointwise_residual": 0, "_validate_g": 0}
+    calls = {"certify": 0, "pointwise_residual": 0, "_validate_g": 0,
+             "_forcing_series": 0}
 
     def counted(home, name):
         # rebound wherever the name is bound, so every call is seen
@@ -910,12 +911,13 @@ def test_sweep_row_takes_one_certificate_and_one_residual(tmp_path,
             calls[name] += 1
             return original(*args, **kwargs)
 
-        for module in (oddperiodic, solver, oracle, cli):
+        for module in (oddperiodic, solver, oracle, problems, cli):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, wrapper)
 
     counted(solver, "certify")
     counted(oracle, "pointwise_residual")
+    counted(problems, "_forcing_series")
     validate = Problem._validate_g
 
     def counted_validate(self):
@@ -933,8 +935,11 @@ def test_sweep_row_takes_one_certificate_and_one_residual(tmp_path,
     rows = read_record(stdout.getvalue())["outcome"]["rows"]
     assert len(rows) == 6 and {r["holds"] for r in rows} == {True, False}
     # the certificate is derived by the validation of the base config and
-    # of each row, and the sweep reads it there without calling certify
-    assert calls == {"certify": 0, "pointwise_residual": 6, "_validate_g": 7}
+    # of each row, and the sweep reads it there without calling certify;
+    # only the base config's forcing pairs are validated, and each row
+    # takes their coefficients
+    assert calls == {"certify": 0, "pointwise_residual": 6, "_validate_g": 7,
+                     "_forcing_series": 1}
 
 
 def test_param_sweep_validates_each_row_once(tmp_path, monkeypatch):
@@ -986,6 +991,67 @@ def test_sweep_in_passes_equals_one_pass(tmp_path, monkeypatch):
     assert len(rows_per_call) >= 3 and sum(rows_per_call) == 10
     assert max(rows_per_call) * 32 <= budget
     assert {row["holds"] for row in one_pass[0]["outcome"]["rows"]} == {True, False}
+
+
+@pytest.mark.parametrize("start", ["0", "-1", "1e-300"])
+def test_period_sweep_refuses_a_bad_row_period(tmp_path, start):
+    from oddperiodic import cli
+
+    cfg = write_config(tmp_path, PENDULUM)
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        code = cli.main(["sweep", cfg, "--param", "period", "--from", start,
+                         "--to", "4", "--steps", "3", "--modes", "8",
+                         "--out", str(tmp_path / "s.csv")])
+    assert code == 2
+    assert read_strict(stdout.getvalue())["error"]["code"] == "bad_period"
+
+
+def test_verify_tol_defaults_to_the_oracle_tolerance():
+    import inspect
+
+    from oddperiodic import cli, cross_validate, oracle
+
+    args = cli._build_parser().parse_args(["verify", "c.json", "u.csv"])
+    default = inspect.signature(cross_validate).parameters["tol"].default
+    assert args.tol == default == oracle.DEFAULT_CHECK_TOL
+
+
+def finite_or_null(value):
+    """``value`` with every non-finite float inside it replaced by None:
+    the walk the CLI made before json's own tokens did it."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [finite_or_null(item) for item in value]
+    return value
+
+
+RECORD_KEYS = st.text(max_size=8) | st.sampled_from(["NaN", "Infinity", "null"])
+RECORD_LEAVES = (
+    st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                       2.2250738585072014e-308, 1e308, -1e308])
+    | st.integers() | st.booleans() | st.none()
+    | st.text(max_size=8)
+    | st.sampled_from(["NaN", "Infinity", "-Infinity", "null"]))
+RECORDS = st.dictionaries(RECORD_KEYS, st.recursive(
+    RECORD_LEAVES,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(RECORD_KEYS, children, max_size=4)),
+    max_leaves=24))
+
+
+@settings(max_examples=300, deadline=None)
+@given(record=RECORDS)
+def test_dumps_writes_non_finite_floats_as_null(record):
+    from oddperiodic import cli
+
+    text = cli._dumps(record)
+    assert text == json.dumps(finite_or_null(record), indent=2, sort_keys=True)
+    read_strict(text)
 
 
 # Numbers across the float line, as argv strings: non-finite, signed zero,

@@ -27,7 +27,6 @@ from oddperiodic import (
     inverse_norm_bound,
     make_problem,
     parse_problem,
-    sup_norm,
 )
 
 T2PI = 2.0 * np.pi
@@ -427,9 +426,10 @@ def reference_certificate(problem) -> ContractionCertificate:
 
 
 def reference_apriori_bound(problem) -> float:
-    """``apriori_bound`` as it formed the bound before problems carried it."""
+    """``apriori_bound`` as it formed the bound before problems carried it,
+    with sup|k| taken as its upper bound sum |b_n|."""
     nb = inverse_norm_bound(problem.period).certified_bound
-    k_norm = sup_norm(problem.k)
+    k_norm = float(np.sum(np.abs(problem.k.coeffs)))
     best = None
     for eps, M in problem.majorants:
         denom = 1.0 - eps * nb

@@ -66,8 +66,11 @@ class TestCertify:
 
     def test_no_derivative_bound_errors(self):
         p = builtin("cubic", {"c3": 1.0}, period=T2PI, forcing=[(1, 1.0)])
-        with pytest.raises(CertificateError):
+        with pytest.raises(CertificateError) as e:
             certify(p)
+        # the refusal carries its record code
+        assert e.value.code == "no_derivative_bound"
+        assert isinstance(e.value, ProblemError) and isinstance(e.value, ValueError)
 
 
 class TestSolvePicard:
@@ -297,6 +300,30 @@ class TestAprioriBound:
         assert 0.1 > 2.0 / T2PI**2
         with pytest.raises(MajorantError):
             apriori_bound(p)
+
+    def test_two_mode_forcing_bound_exceeds_the_theorems(self):
+        # k = sin t + 0.5 sin 3t peaks at 1.0758, which the theorem's bound
+        # (T^2/2) * (sup|k| + 1) = 40.975 uses; sum |b_n| = 1.5 gives 49.348,
+        # and a grid maximum of 1.0607 gave 40.676, below the theorem's value
+        p = builtin("tanh_g", {"s": 1.0}, period=T2PI,
+                    forcing=[(1, 1.0), (3, 0.5)])
+        assert apriori_bound(p) >= 40.975
+        assert apriori_bound(p) == pytest.approx(49.34802200544679, rel=1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(s=st.floats(0.1, 3.0), period=st.floats(0.5, 20.0),
+           forcing=st.lists(st.tuples(st.integers(1, 16),
+                                      st.floats(-10.0, 10.0)),
+                            min_size=1, max_size=8,
+                            unique_by=lambda pair: pair[0]))
+    def test_bound_is_at_least_the_theorems(self, s, period, forcing):
+        p = builtin("tanh_g", {"s": s}, period=period, forcing=forcing)
+        nb = period**2 / 2
+        k_max = float(np.max(np.abs(grid_samples(p.k, 2**16))))
+        # tanh_g declares the one pair (0, |s|), usable at every period
+        theorem = min(nb * (k_max + M) for eps, M in p.majorants)
+        # a relative 1e-12 absorbs the rounding of the grid's own maximum
+        assert apriori_bound(p) >= theorem * (1.0 - 1e-12)
 
     def test_minimum_over_pairs(self):
         from oddperiodic import parse_problem
@@ -744,8 +771,11 @@ class TestSolvePolicy:
 
     def test_continuation_method_without_majorant_raises(self):
         p = builtin("cubic", {"c3": 1.0}, period=T2PI, forcing=[(1, 5.0)])
-        with pytest.raises(MajorantError):
+        with pytest.raises(MajorantError) as e:
             solve(p, method="continuation", modes=32)
+        # the refusal carries its record code
+        assert e.value.code == "no_majorant"
+        assert isinstance(e.value, ProblemError) and isinstance(e.value, ValueError)
 
 
 def test_blown_up_stages_count_their_map_applications(monkeypatch):

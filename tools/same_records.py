@@ -16,7 +16,10 @@ iterates overflow.  It then compares what the two runs left: every record
 on stdout, every stderr, every exit code, and every CSV and sidecar
 written.  The only part left out is the ``wall_time_s`` field of records
 and sidecars.  The names of the files that differ are printed, and the
-exit code is 1 if any differ, else 0.
+exit code is 1 if any differ, else 0.  A differing record (``.stdout``)
+or sidecar (``.json``) that both runs wrote as JSON is followed by the
+dotted key paths at which the two differ, list items by index, for
+example ``cmd_92.stdout: outcome.apriori_bound``.
 
 Standard library only.  The two trees run side by side, one command at a
 time each; on two cores the whole set takes about 40 s.
@@ -40,6 +43,8 @@ NAMES = ("cubic_large", "linear_small", "pendulum", "tanh", "zero")
 # the wall time with the separator before it; the rest of a record stays
 WALL_TIME = re.compile(rb',?\s*"wall_time_s": [^,\n}]+')
 TIMEOUT_S = 600
+# a key that one of two JSON objects lacks
+_MISSING = object()
 
 
 def _sweep(cfg, param, start, stop, steps, modes, *extra):
@@ -257,6 +262,40 @@ def differing(a: Path, b: Path) -> list[str]:
                           and _content(a / f) == _content(b / f)))
 
 
+def json_paths(a, b, path: tuple = ()) -> list[str]:
+    """The dotted key paths at which two parsed JSON values differ; a leaf
+    differs where its JSON text does, so -0.0 differs from 0.0."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [p for key in sorted(a.keys() | b.keys())
+                for p in json_paths(a.get(key, _MISSING), b.get(key, _MISSING),
+                                    path + (key,))]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [p for i, (x, y) in enumerate(zip(a, b))
+                for p in json_paths(x, y, path + (str(i),))]
+    same = _MISSING not in (a, b) and json.dumps(a) == json.dumps(b)
+    return [] if same else [".".join(path) or "(root)"]
+
+
+def _record(path: Path):
+    """The JSON document in ``path`` without its ``wall_time_s`` field."""
+    record = json.loads(path.read_bytes())
+    if isinstance(record, dict):
+        record.pop("wall_time_s", None)
+    return record
+
+
+def described(a: Path, b: Path, name: str) -> str:
+    """``name``, followed for a record or sidecar that both runs wrote as
+    JSON by the key paths at which the two differ."""
+    if Path(name).suffix not in (".json", ".stdout"):
+        return name
+    try:
+        paths = json_paths(_record(a / name), _record(b / name))
+    except (OSError, ValueError):
+        return name
+    return f"{name}: {', '.join(paths)}" if paths else name
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
@@ -281,9 +320,9 @@ def main(argv: list[str]) -> int:
             print("a run did not complete", file=sys.stderr)
             return 1
         outputs = sum(1 for p in dirs[0].rglob("*") if p.is_file())
-        diff = differing(*dirs)
-    for name in diff:
-        print(name)
+        diff = [described(*dirs, name) for name in differing(*dirs)]
+    for line in diff:
+        print(line)
     print(f"{len(commands())} commands, {outputs} files, {len(diff)} differ",
           file=sys.stderr)
     return 1 if diff else 0
