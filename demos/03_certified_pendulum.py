@@ -7,6 +7,10 @@ iteration is guaranteed to converge to the *unique* odd periodic solution,
 at worst geometrically with ratio lambda.  The demo shows the certificate,
 the measured convergence (far faster than guaranteed), the multi-start
 uniqueness probe, and an independent shooting cross-check.
+
+The step column is the l1 norm sum|b_n| of each step's sine coefficients,
+the bound on its sup norm that the solver stops on.  The certificate bounds
+the ratios of sup norms, so the l1 ratios printed here are observations.
 """
 
 import numpy as np
@@ -33,7 +37,7 @@ print()
 print("== Picard iteration from the zero function ==")
 report = solve_picard(problem)
 print(f"converged in {report.iterations} applications of the map")
-print(" step   sup-norm      ratio   (certificate guarantees <= %.4f)" % cert.factor)
+print(" step   l1-norm       ratio   (sup-norm ratios are <= %.4f)" % cert.factor)
 prev = None
 for j, s in enumerate(report.step_norms):
     ratio = "" if prev is None or prev == 0 else f"{s / prev:8.5f}"

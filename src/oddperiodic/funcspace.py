@@ -334,21 +334,21 @@ def mean(f) -> float:
     return float(np.mean(samples))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sup_norm(f) -> float:
-    """Grid maximum of |f| over 8 * modes equispaced points.
+    """Grid maximum of |f| over 8 * modes equispaced points, inf on overflow.
 
     A lower bound on the true sup norm (the exact maximum of a
     trigonometric polynomial would need root finding).
     """
-    return float(_sup_norms(f.coeffs, isinstance(f, OddPeriodicFunction)))
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _sup_norms(rows: np.ndarray, odd: bool = True) -> np.ndarray:
-    """:func:`sup_norm` of each row of coefficients, from one FFT call; inf
-    where the grid values overflow."""
     # the mirrored half of the grid holds the same values up to sign
-    norms = np.max(np.abs(_half_grid(rows, 8 * rows.shape[-1], odd)), axis=-1)
+    odd = isinstance(f, OddPeriodicFunction)
+    return float(_grid_max(_half_grid(f.coeffs, 8 * f.modes, odd)))
+
+
+def _grid_max(values: np.ndarray) -> np.ndarray:
+    """max|values| along the last axis; inf where it is NaN (an overflow)."""
+    norms = np.max(np.abs(values), axis=-1)
     return np.where(np.isnan(norms), np.inf, norms)
 
 

@@ -26,6 +26,7 @@ from .funcspace import (
     OddPeriodicFunction,
     OddSymmetryError,
     _full_grid,
+    _grid_max,
     _sine_rows,
     _symmetry_defects,
 )
@@ -108,24 +109,24 @@ def _forcing(problem, modes: int) -> np.ndarray:
 
 
 def _nonlinear_parts(g, rows: np.ndarray,
-                     forcing: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                     forcing: np.ndarray) -> tuple[np.ndarray, ...]:
     """N(u) = k - g(u) for each row u, with one transform of each kind.
 
     ``g`` sends an array of samples to g's values row by row, and row i of
     ``forcing`` belongs to row i of ``rows``.  Returns the coefficients of
-    N(u) for each row and the mask of rows whose g(u) blew up; a blown
-    row's output is meaningless.  A row whose g(u) is not odd raises
-    OddSymmetryError.
+    N(u) for each row, the mask of rows whose g(u) blew up (a blown row's
+    output is meaningless) and each row's max|u| on the 4N grid, inf where
+    it overflows.  A row whose g(u) is not odd raises OddSymmetryError.
     """
     N = rows.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         su = _full_grid(rows, 4 * N)  # may overflow: g(su) then blows up
         gu = g(su)
-        g_max = np.max(np.abs(gu), axis=1)
+        g_max, u_max = np.max(np.abs(gu), axis=1), _grid_max(su)
         # the relative term admits plain rounding at the scale of g(u) (some
         # vectorized kernels are not bitwise sign-symmetric); a genuinely
         # non-odd g sits orders of magnitude above it
-        tol = 1e-10 * (1.0 + np.max(np.abs(su), axis=1)) + 1e-13 * g_max
+        tol = 1e-10 * (1.0 + u_max) + 1e-13 * g_max
         defect = _symmetry_defects(gu)
         analysis = _sine_rows(gu, N)
     # the 1e300 cap keeps the analysis sums representable
@@ -136,7 +137,7 @@ def _nonlinear_parts(g, rows: np.ndarray,
         raise OddSymmetryError(defect[i], tol[i])
     out = forcing.copy()
     out[:, :N] -= analysis
-    return out, blown
+    return out, blown, u_max
 
 
 def _check_period(problem, u: OddPeriodicFunction) -> None:
@@ -163,8 +164,8 @@ def nonlinear_rhs(problem, u: OddPeriodicFunction) -> OddPeriodicFunction:
         1e-10 * (1 + max|u|) + 1e-13 * max|g(u)| over the sampling grid.
     """
     _check_period(problem, u)
-    out, blown = _nonlinear_parts(problem.g.value, u.coeffs[np.newaxis],
-                                  _forcing(problem, u.modes)[np.newaxis])
+    out, blown, _ = _nonlinear_parts(problem.g.value, u.coeffs[np.newaxis],
+                                     _forcing(problem, u.modes)[np.newaxis])
     if blown[0]:
         raise NonFiniteNonlinearityError(
             "g(u) is non-finite (or beyond overflow scale) on the sampling "

@@ -60,6 +60,9 @@ class ProblemError(ValueError):
         self.code = code
         super().__init__(message)
 
+    def __reduce__(self):  # args hold the message only: skip __init__
+        return type(self).__new__, (type(self), *self.args), self.__dict__
+
 
 def _shown(value) -> str:
     """``value`` for an error message: its repr, or its type where the repr

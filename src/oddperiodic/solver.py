@@ -24,10 +24,10 @@ converges well outside the certified region; such runs are flagged
 ``uncertified_picard`` and their convergence is an observation, not a
 guarantee.
 
-Stopping is on the sup norm of the iteration step, not on the equation
-residual; the residual is computed once at the end through the independent
-oracle and reported.  No acceleration is applied, so the measured step-norm
-ratios remain directly comparable to the certificate factor.
+Stopping is on sum|b_n| of the step, a transform-free bound on its sup norm,
+not on the equation residual, which is computed once at the end through the
+independent oracle and reported.  No acceleration is applied, so measured
+step-norm ratios remain directly comparable to the certificate factor.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .funcspace import OddPeriodicFunction, _sup_norms, sup_norm
+from .funcspace import OddPeriodicFunction, _grid_max, _half_grid, sup_norm
 from .operators import _check_period, _forcing, _neg_gains, _nonlinear_parts
 from .oracle import ode_residual
 from .problems import ContractionCertificate, ProblemError, _check_limits, _row_values
@@ -86,9 +86,9 @@ class SolveReport:
     ``regime`` is one of ``certified_contraction``, ``uncertified_picard``
     or ``continuation``.  ``failure`` is None on success, else ``max_iter``,
     ``non_finite``, ``step_underflow`` or ``apriori_violation``; the best
-    iterate is still returned.  ``max_iterate_norm`` tracks sup|u_j| over
-    every finite iterate seen; the a-priori bound is checked against the
-    norm of each converged continuation stage solution instead.
+    iterate is still returned.  ``step_norms`` are l1 norms, which bound the
+    steps' sup norms; ``max_iterate_norm`` is max|u_j| over the iterates
+    seen, on the map's 4N grid (a lower bound), as the a-priori check uses.
     """
 
     solution: OddPeriodicFunction
@@ -170,7 +170,7 @@ def solve_many(problems, *, method: str = "auto", tol: float = DEFAULT_TOL,
         else:
             N = max(int(modes), problem.k.modes)
             rows.append(_ContinuationRow(problem, "continuation", np.zeros(N),
-                                         0.0, problem.apriori_bound))
+                                         problem.apriori_bound))
     return _drive(rows, tol, max_iter)
 
 
@@ -179,7 +179,7 @@ def solve_picard(problem, *, initial_guess: OddPeriodicFunction | None = None,
                  modes: int = DEFAULT_MODES) -> SolveReport:
     """Picard iteration u_{j+1} = invert_second_derivative(k - g(u_j)).
 
-    Runs until the step sup norm drops below ``tol``.  In the certified
+    Runs until the step's l1 norm drops below ``tol``.  In the certified
     regime convergence is guaranteed; outside it, non-convergence is a
     reportable outcome (``converged=False`` with diagnostics), not an error:
     an iterate whose g(u), step or coefficients leave the finite range ends
@@ -191,7 +191,7 @@ def solve_picard(problem, *, initial_guess: OddPeriodicFunction | None = None,
     initial_guess : OddPeriodicFunction, optional
         Starting iterate; defaults to the zero function.
     tol : float
-        Step sup-norm stopping threshold.
+        Step l1-norm stopping threshold, which bounds the step's sup norm.
     max_iter : int
         Iteration cap; exceeding it reports ``failure="max_iter"``.
     modes : int
@@ -241,7 +241,7 @@ def _picard_row(problem, initial_guess, modes) -> _Row:
     cert = problem.certificate
     regime = ("certified_contraction" if cert is not None and cert.holds
               else "uncertified_picard")
-    return _Row(problem, regime, u.coeffs, sup_norm(u))
+    return _Row(problem, regime, u.coeffs)
 
 
 class _Row:
@@ -256,9 +256,9 @@ class _Row:
     lam = 1.0
     continuation = False
 
-    def __init__(self, problem, regime, start, max_norm, bound=None) -> None:
+    def __init__(self, problem, regime, start, bound=None) -> None:
         self.problem, self.regime = problem, regime
-        self.start, self.max_norm, self.bound = start, max_norm, bound
+        self.start, self.bound = start, bound
         self.iterations = 0
         self.hist: list[float] = []
         self.step_norms: list[float] = []
@@ -267,8 +267,8 @@ class _Row:
         self.failure: str | None = None
 
     def end_stage(self, converged, blown, b, last_norm, tol) -> bool:
-        """Close the running stage at iterate ``b``, whose sup norm is
-        ``last_norm``; True if a next stage starts."""
+        """Close the running stage at iterate ``b``, whose 4N grid maximum
+        is ``last_norm``; True if a next stage starts."""
         self.start, self.step_norms = b.copy(), self.hist
         self.converged = converged
         if not converged:
@@ -329,11 +329,11 @@ def _drive(rows, tol, max_iter) -> list[SolveReport]:
     """Run the solves ``rows`` together and return their reports.
 
     The rows of one working size form a :class:`_Batch`, held as
-    (rows x N) arrays.  Each tick makes one call of the kernel for N and
-    one norm call per batch for all its live rows, and updates them and
-    tests them for reversals as whole arrays.  Per row, a tick only appends
-    the step norm; the rest runs per row only where a row ends a stage or
-    its solve.
+    (rows x N) arrays.  Each tick makes one call of the kernel for N per
+    batch for all its live rows, and updates them, takes their l1 step
+    norms and tests them for reversals as whole arrays.  Per row, a tick
+    only appends the step norm; the rest runs per row only where a row
+    ends a stage or its solve.
     """
     sizes: dict[int, list] = {}
     for row in rows:
@@ -350,8 +350,8 @@ class _Batch:
     """Live rows of one size and their arrays in ``state``: the iterates
     ``b`` and the previous steps as (rows x N) arrays, and per row its
     forcing and the gains of the inverse, the stage's lam, the damping
-    theta, the reversal count, the stage's application count, sup|u| so far
-    and whether it is a continuation row."""
+    theta, the reversal count, the stage's application count, the grid
+    maximum of |u| so far and whether it is a continuation row."""
 
     def __init__(self, rows) -> None:
         self.rows = rows
@@ -367,7 +367,7 @@ class _Batch:
             "theta": np.ones(len(rows)),
             "reversals": np.zeros(len(rows), dtype=int),
             "applied": np.zeros(len(rows), dtype=int),
-            "max_norm": np.array([row.max_norm for row in rows]),
+            "max_norm": np.zeros(len(rows)),
             "continuation": np.array([row.continuation for row in rows]),
         }
         self.g = _row_values([row.problem.g for row in rows])
@@ -376,8 +376,9 @@ class _Batch:
         """One map application for every live row, then the close of every
         stage that ends with it."""
         s = self.state
-        M, blown = _nonlinear_parts(self.g, s["b"], s["forcing"])
+        M, blown, norms = _nonlinear_parts(self.g, s["b"], s["forcing"])
         s["applied"] += 1
+        np.maximum(s["max_norm"], norms, out=s["max_norm"])  # iterates mapped
         # a row whose g(u), step or iterate is not finite is blown below
         with np.errstate(over="ignore", invalid="ignore"):
             M *= s["gains"]
@@ -393,6 +394,7 @@ class _Batch:
                                               s["reversals"][tested] + 1, 0)
             s["theta"][s["reversals"] >= 3] = 0.5
             b = s["b"] + s["theta"][:, np.newaxis] * step
+            steps = s["theta"] * np.abs(step).sum(axis=1)  # sum|b_n| >= sup
         picard = ~s["continuation"]
         b[picard] = target[picard]
         blown |= ~(np.isfinite(step).all(axis=1) & np.isfinite(b).all(axis=1))
@@ -401,27 +403,26 @@ class _Batch:
             step[blown] = 0.0
             b[blown] = s["b"][blown]
         s["prev"], s["b"] = step, b
-        sups = _sup_norms(np.concatenate((step, b)))
-        R = len(self.rows)
-        steps = s["theta"] * sups[:R]
-        np.maximum(s["max_norm"], sups[R:], out=s["max_norm"], where=~blown)
         for row, step_norm in zip(self.rows, steps.tolist()):
             row.hist.append(step_norm)
         converged = (steps < tol) & ~blown
         ended = np.flatnonzero(converged | blown | (s["applied"] >= max_iter))
         if ended.size:
-            self._end_stages(ended, converged, blown, sups[R:], tol)
+            self._end_stages(ended, converged, blown, tol)
 
-    def _end_stages(self, ended, converged, blown, norms, tol) -> None:
+    def _end_stages(self, ended, converged, blown, tol) -> None:
         s = self.state
+        with np.errstate(over="ignore", invalid="ignore"):  # last iterates, 4N
+            norms = _grid_max(_half_grid(s["b"][ended], 4 * s["b"].shape[1]))
+        np.maximum.at(s["max_norm"], ended, norms)
         keep = np.ones(len(self.rows), dtype=bool)
-        for i in ended.tolist():
+        for i, norm in zip(ended.tolist(), norms.tolist()):
             row = self.rows[i]
             if blown[i]:
                 row.hist.pop()  # a blown application has no step norm
             row.iterations += int(s["applied"][i])
             if row.end_stage(bool(converged[i]), bool(blown[i]), s["b"][i],
-                             float(norms[i]), tol):
+                             norm, tol):
                 s["b"][i], s["lam"][i] = row.start, row.lam
                 s["theta"][i], s["reversals"][i], s["applied"][i] = 1.0, 0, 0
             else:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import pickle
 import struct
 import warnings
 
@@ -588,3 +589,16 @@ def test_fuzzed_config_is_a_problem_or_a_problem_error(cfg, tmp_path,
         assert exit_code in (0, 3) or record["error"]["code"] == "no_derivative_bound"
     else:
         assert exit_code == 2 and record["error"]["code"] == code
+
+
+@pytest.mark.parametrize("error,code", [
+    (ProblemError("bad_x", "m"), "bad_x"),
+    (CertificateError("m"), "no_derivative_bound"),
+    (MajorantError("m"), "no_majorant"),
+], ids=["ProblemError", "CertificateError", "MajorantError"])
+@pytest.mark.parametrize("protocol", [0, pickle.HIGHEST_PROTOCOL])
+def test_refusals_survive_a_pickle_round_trip(error, code, protocol):
+    # a refusal sent across processes arrives as itself; error records
+    # print str(error), the bare message
+    copy = pickle.loads(pickle.dumps(error, protocol))
+    assert (type(copy), copy.code, str(copy)) == (type(error), code, "m")

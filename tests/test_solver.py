@@ -397,18 +397,28 @@ class TestUniquenessProbe:
         assert (result.agrees, result.trials) == (expected <= 1e-10, trials)
 
 
+def l1_norm(f):
+    """sum|b_n|: the solvers' step norm, a bound on sup|f|."""
+    return float(np.sum(np.abs(f.coeffs)))
+
+
+def grid_max(f):
+    """max|f| on the map's 4N sampling grid: the solvers' iterate norm."""
+    return float(np.max(np.abs(grid_samples(f, 4 * f.modes))))
+
+
 def reference_picard(problem, modes, tol=1e-12, max_iter=10_000):
     """Picard iteration on series objects through the public map."""
     u = OddPeriodicFunction.zero(problem.period, max(modes, problem.k.modes))
-    step_norms, max_norm = [], sup_norm(u)
+    step_norms, max_norm = [], 0.0
     for iterations in range(1, max_iter + 1):
+        max_norm = max(max_norm, grid_max(u))
         u_next = fixed_point_map(problem, u)
-        step_norms.append(sup_norm(u_next - u))
+        step_norms.append(l1_norm(u_next - u))
         u = u_next
-        max_norm = max(max_norm, sup_norm(u))
         if step_norms[-1] < tol:
             break
-    return u, step_norms, max_norm, iterations
+    return u, step_norms, max(max_norm, grid_max(u)), iterations
 
 
 def reference_continuation(problem, modes, tol=1e-12, max_iter=5000):
@@ -423,8 +433,9 @@ def reference_continuation(problem, modes, tol=1e-12, max_iter=5000):
         if lam_next >= 1.0 - 1e-12:
             lam_next = 1.0
         v, theta, prev, reversals = u, 1.0, None, 0
-        hist, stage_max, ok = [], sup_norm(v), False
+        hist, ok = [], False
         for _ in range(max_iter):
+            max_norm = max(max_norm, grid_max(v))
             step_vec = lam_next * fixed_point_map(problem, v) - v
             if prev is not None and theta == 1.0:
                 if float(np.dot(step_vec.coeffs, prev.coeffs)) < 0.0:
@@ -434,13 +445,12 @@ def reference_continuation(problem, modes, tol=1e-12, max_iter=5000):
                     reversals = 0
             prev = step_vec
             v = v + theta * step_vec
-            hist.append(theta * sup_norm(step_vec))
-            stage_max = max(stage_max, sup_norm(v))
+            hist.append(theta * l1_norm(step_vec))
             if hist[-1] < tol:
                 ok = True
                 break
         iterations += len(hist)
-        max_norm = max(max_norm, stage_max)
+        max_norm = max(max_norm, grid_max(v))
         damped += theta == 0.5
         if not ok:
             step *= 0.5
@@ -456,7 +466,7 @@ class TestCoefficientLoops:
     """The solvers iterate on coefficient arrays; they must reproduce the
     same iteration written with series objects bit for bit."""
 
-    # at 1024 modes the 2-row FFT of the step norms runs on 8192 points
+    # at 1024 modes the map's synthesis runs on 4096 points
     @pytest.mark.parametrize("problem,regime,modes", [
         (pendulum(), "certified_contraction", 64),
         (pendulum(), "certified_contraction", 1024),
@@ -637,15 +647,18 @@ class TestSolveMany:
         assert (halved.step_norms, halved.max_iterate_norm, halved.iterations,
                 halved.lambda_path) == (step_norms, max_norm, iterations, path)
 
-    def test_one_map_call_and_one_norm_call_per_tick(self, monkeypatch):
+    def test_one_map_call_and_no_norm_call_per_tick(self, monkeypatch):
         import oddperiodic.solver as solver
 
-        calls = {"_nonlinear_parts": 0, "_sup_norms": 0}
-        for name in calls:
-            def counted(*args, _name=name, _fn=getattr(solver, name)):
+        calls = {"_nonlinear_parts": 0, "sup_norm": 0, "_half_grid": 0,
+                 "_end_stages": 0}
+        for owner, name in ((solver, "_nonlinear_parts"), (solver, "sup_norm"),
+                            (solver, "_half_grid"),
+                            (solver._Batch, "_end_stages")):
+            def counted(*args, _name=name, _fn=getattr(owner, name)):
                 calls[_name] += 1
                 return _fn(*args)
-            monkeypatch.setattr(solver, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         base = pendulum()
         problems = [make_problem(T, base.g, [(1, 0.05)])
                     for T in np.linspace(1.0, 12.0, 12)]
@@ -654,7 +667,12 @@ class TestSolveMany:
         assert {r.regime for r in reports} == {"certified_contraction",
                                                "continuation"}
         ticks = max(r.iterations for r in reports)
-        assert calls == {"_nonlinear_parts": ticks, "_sup_norms": ticks}
+        # the step norms take no transform; the iterates' grid maxima come
+        # with the map, and with one synthesis only where stages end
+        ends = calls["_end_stages"]
+        assert 0 < ends < ticks
+        assert calls == {"_nonlinear_parts": ticks, "sup_norm": 0,
+                         "_half_grid": ends, "_end_stages": ends}
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
@@ -683,17 +701,23 @@ class TestSolveMany:
         dots = (a[:, np.newaxis] @ b[..., np.newaxis])[:, 0, 0]
         for x, y, d in zip(a, b, dots):
             assert d.tobytes() == np.dot(x, y).tobytes()
+        # the driver's l1 step norms are row sums of the batch; the
+        # reference loop takes np.sum of one row
+        for x, n in zip(a, np.abs(a).sum(axis=1)):
+            assert n.tobytes() == np.sum(np.abs(x)).tobytes()
 
     def test_a_failing_row_leaves_the_others_alone(self):
         good, bad = pendulum(), builtin("cubic", {"c3": 1.0}, period=T2PI,
                                         forcing=[(1, 1.0)])
         rows = np.array([np.full(16, 0.1), np.full(16, 1e120)])
-        out, blown = _nonlinear_parts(
+        out, blown, norms = _nonlinear_parts(
             _row_values([good.g, bad.g]), rows,
             np.array([_forcing(good, 16), _forcing(bad, 16)]))
         u = OddPeriodicFunction(T2PI, rows[0])
         assert out[0].tobytes() == nonlinear_rhs(good, u).coeffs.tobytes()
         assert blown.tolist() == [False, True]
+        assert norms.tolist() == [grid_max(u), grid_max(
+            OddPeriodicFunction(T2PI, rows[1]))]
 
     @pytest.mark.parametrize("method,failure", [
         ("picard", "non_finite"), ("continuation", "step_underflow")])
@@ -786,10 +810,10 @@ def test_blown_up_stages_count_their_map_applications(monkeypatch):
     nonlinear_parts = solver._nonlinear_parts
 
     def counting(g, rows, forcing):
-        out, failed = nonlinear_parts(g, rows, forcing)
+        out, failed, norms = nonlinear_parts(g, rows, forcing)
         applied.append(len(out))
         blown.extend(np.flatnonzero(failed))
-        return out, failed
+        return out, failed, norms
 
     monkeypatch.setattr(solver, "_nonlinear_parts", counting)
     report = solve_continuation(p, modes=32)
@@ -892,3 +916,57 @@ def test_every_accepted_problem_ends_in_reports(problems, method, tol,
         assert report.converged == (report.failure is None)
     distances = shooting_distances(problems, [r.solution for r in reports])
     assert len(distances) == len(problems)
+
+
+# coefficients over the whole range a row can hold: zeros, subnormals,
+# the extremes +-1e300 and everything between
+_COEFFS = st.one_of(
+    st.sampled_from([0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300]),
+    st.floats(-1e300, 1e300, allow_subnormal=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(b=st.lists(_COEFFS, min_size=1, max_size=512))
+@example(b=[5e-324])
+@example(b=[1e300] * 512)
+def test_l1_norm_bounds_the_grid_maxima(b):
+    """sum|b_n| >= sup_norm (8N grid) >= the 4N grid maximum of the map.
+
+    Both grids are FFT values, so each ordering holds up to the transforms'
+    rounding: 2*log2(8N) units of roundoff relative to sum|b_n|, plus N
+    subnormal units for rows of subnormals (the largest excesses measured on
+    random rows are 0.73*log2(8N) units and N/4 subnormal units).
+    """
+    b = np.array(b)
+    N = b.size
+    l1 = np.sum(np.abs(b))
+    slack = 2 * np.log2(8 * N) * np.finfo(float).eps * l1 + N * 5e-324
+    sup8 = sup_norm(OddPeriodicFunction(1.0, b))
+    zero = Nonlinearity("zero", np.zeros_like, np.zeros_like).value
+    (grid4,) = _nonlinear_parts(zero, b[np.newaxis],
+                                np.zeros((1, N)))[2]
+    assert np.isfinite(l1)
+    assert l1 + slack >= sup8
+    assert sup8 + slack >= grid4
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(["zero", "linear", "pendulum", "tanh_g"]),
+       param=st.floats(-1.0, 1.0), period=st.floats(0.5, 6.0),
+       forcing=st.lists(st.tuples(st.integers(1, 8), st.floats(-1.0, 1.0)),
+                        min_size=1, max_size=3, unique_by=lambda f: f[0]),
+       modes=st.integers(1, 64), tol=st.sampled_from([1e-12, 1e-8, 1e-4]))
+def test_a_converged_row_stops_on_a_step_below_tol(family, param, period,
+                                                    forcing, modes, tol):
+    """The stopping rule bounds the true step: the last step of a converged
+    Picard row, measured on a 64N grid, is below tol."""
+    params = {name: param for name in FAMILIES[family][1]}
+    p = builtin(family, params, period=period, forcing=forcing)
+    report = solve_picard(p, tol=tol, max_iter=500, modes=modes)
+    assume(report.converged)
+    n = report.iterations
+    before = (solve_picard(p, tol=tol, max_iter=n - 1, modes=modes).solution
+              if n > 1 else OddPeriodicFunction.zero(period, report.solution.modes))
+    step = report.solution - before
+    assert report.step_norms[-1] == l1_norm(step) < tol
+    assert np.max(np.abs(grid_samples(step, 64 * step.modes))) < tol
