@@ -328,7 +328,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_solver_flags(p):
         p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                       help="step sup-norm stopping tolerance")
+                       help="stopping tolerance on the step's l1 norm, "
+                            "which bounds its sup norm")
         p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
                        help="iteration cap (per continuation stage)")
         p.add_argument("--modes", type=int, default=DEFAULT_MODES,

@@ -56,6 +56,10 @@ _STEPS_PER_PERIOD = 2048
 _SHOOT_TOL = 1e-11
 _RECONSTRUCTION_MODES = 256
 _HALF_PERIOD_STEPS = _STEPS_PER_PERIOD // 2
+# shoot's walk from a missed midpoint m: the first offset in units of
+# 1 + |m| (about RK4's own error in the root) and its growth per step
+_WALK_FIRST = 1e-9
+_WALK_GROWTH = 16.0
 # cross_validate's acceptance tolerance on the distance and both residuals
 DEFAULT_CHECK_TOL = 1e-6
 
@@ -69,8 +73,9 @@ class BlowUpError(ArithmeticError):
 
 
 class OracleInconclusiveError(RuntimeError):
-    """Shooting could not locate a root: no sign change and the secant
-    stagnated.  Distinct from 'no solution exists'."""
+    """Shooting could not locate a root: no sign change within the
+    bracket, or bisection ran out of doubles short of the tolerance.
+    Distinct from 'no solution exists'."""
 
 
 @dataclass(frozen=True)
@@ -250,31 +255,25 @@ def _reconstruct(u_nodes: np.ndarray, period: float) -> OddPeriodicFunction:
 def shoot(problem, v0_bracket) -> ShootingResult:
     """Solve the half-period boundary value problem by shooting on u'(0).
 
-    Finds v0 with |u(T/2; v0)| <= 1e-11, each shot in 1024 RK4 steps.  The
-    bracket midpoint is shot first and returned when it meets the
-    tolerance, as it does when the bracket is centred on a good slope
-    estimate; the endpoints are then never integrated.  Otherwise the
-    endpoints are shot: an endpoint with u(T/2) exactly 0 is returned,
-    else bisection runs on a sign change (its first midpoint is the one
-    already shot), else the secant iteration seeded from the two
-    endpoints.  The accepted slope is not integrated again: the trajectory
-    its root test produced is odd-reflected to a full period and resampled
-    into an OddPeriodicFunction.  This is the one shooting solve: a sweep
-    row whose batched midpoint misses comes here too.
-
-    Shooting the midpoint first returns it where the endpoints alone
-    would have decided otherwise: over an endpoint with u(T/2) exactly 0,
-    over a secant iteration on a bracket without a sign change, and over
-    an endpoint that blows up.  An endpoint with u(T/2) exactly 0 is
-    returned without shooting the other one, and a blow-up of the
-    midpoint reports the midpoint's escape time.  An endpoint equal to the
-    midpoint (a degenerate bracket) is not shot again.
+    Finds the root of u(T/2; v0) nearest the bracket's midpoint m, within
+    the bracket, to |u(T/2; v0)| <= 1e-11, each shot in 1024 RK4 steps.
+    The midpoint is shot first and returned when it meets the tolerance,
+    as it does when the bracket is centred on a good slope estimate.
+    Otherwise the search walks out from m: it shoots m - d, then m + d,
+    for d = 1e-9*(1 + |m|) growing 16-fold up to the bracket's half-width,
+    and stops at the first slope whose u(T/2) has the sign opposite to
+    m's.  Bisection between that slope and m finds the root.  The accepted
+    slope is not integrated again: the trajectory its root test produced
+    is odd-reflected to a full period and resampled into an
+    OddPeriodicFunction.  This is the one shooting solve: a sweep row
+    whose batched midpoint misses comes here too.
 
     Raises
     ------
     OracleInconclusiveError
-        No sign change and the secant iteration stagnated (this does not
-        mean no solution exists).
+        No sign change within the bracket (this does not mean no solution
+        exists), or bisection ran out of doubles without meeting the
+        tolerance.  A degenerate bracket has no slope to walk to.
     BlowUpError
         The integration blew up inside the bracket.
     """
@@ -285,54 +284,43 @@ def shoot(problem, v0_bracket) -> ShootingResult:
                              steps=_HALF_PERIOD_STEPS)
         return float(traj.u[-1]), traj
 
-    def accept(v0: float, traj: Trajectory) -> ShootingResult:
-        return ShootingResult(v0, float(traj.u[-1]), traj,
-                              _reconstruct(traj.u, problem.period))
-
     a, b = float(v0_bracket[0]), float(v0_bracket[1])
     m = 0.5 * (a + b)
-    fm, traj = mid = shot(m)
-    if abs(fm) <= _SHOOT_TOL:
-        return accept(m, traj)
-    # an endpoint equal to the midpoint (a == b, or adjacent doubles)
-    # reuses the midpoint's shot
-    fa, traj = mid if a == m else shot(a)
-    if fa == 0.0:
-        return accept(a, traj)
-    fb, traj = mid if b == m else shot(b)
-    if fb == 0.0:
-        return accept(b, traj)
-    if fa * fb < 0.0:
-        for _ in range(199):  # 200 midpoints with the one shot first
-            if fa * fm < 0.0:
-                b = m
-            else:
-                a, fa = m, fm
-            if abs(b - a) <= 1e-16 * max(1.0, abs(a), abs(b)):
+    fm, traj = shot(m)
+    v0, f = m, fm
+    if abs(fm) > _SHOOT_TOL:
+        for v0 in _walk(m, 0.5 * abs(b - a)):
+            f, traj = shot(v0)
+            if f * fm < 0.0:
                 break
-            m = 0.5 * (a + b)
-            fm, traj = shot(m)
-            if abs(fm) <= _SHOOT_TOL:
-                return accept(m, traj)
-        raise OracleInconclusiveError(
-            "bisection exhausted the bracket without meeting the "
-            f"boundary tolerance {_SHOOT_TOL:.1e}")
-    # secant from the two seeds; traj is always that of x1
-    x0, f0, x1, f1 = a, fa, b, fb
-    for _ in range(100):
-        if abs(f1) <= _SHOOT_TOL:
-            return accept(x1, traj)
-        denom = f1 - f0
-        if denom == 0.0 or not math.isfinite(denom):
-            break
-        x2 = x1 - f1 * (x1 - x0) / denom
-        if not math.isfinite(x2) or abs(x2 - x1) <= 1e-16 * max(1.0, abs(x1)):
-            break
-        x0, f0, x1 = x1, f1, x2
-        f1, traj = shot(x1)
-    raise OracleInconclusiveError(
-        "no sign change on the bracket and the secant iteration "
-        "stagnated; widen the bracket or reseed")
+        else:
+            raise OracleInconclusiveError(
+                "no sign change within the bracket; widen it or reseed")
+    # bisect between the walk's last slope and m: u(T/2) differs in sign
+    x, fx, y = v0, f, m
+    while abs(f) > _SHOOT_TOL:
+        v0 = 0.5 * (x + y)
+        if v0 in (x, y):
+            raise OracleInconclusiveError(
+                "bisection exhausted the bracket without meeting the "
+                f"boundary tolerance {_SHOOT_TOL:.1e}")
+        f, traj = shot(v0)
+        if f * fx < 0.0:
+            y = v0
+        else:
+            x, fx = v0, f
+    return ShootingResult(v0, f, traj, _reconstruct(traj.u, problem.period))
+
+
+def _walk(m: float, half: float):
+    """The slopes m - d, m + d of :func:`shoot`'s walk, for d growing by
+    _WALK_GROWTH from _WALK_FIRST*(1 + |m|) up to ``half``, the last d;
+    none for half = 0."""
+    d = 0.0
+    while d < half:
+        d = min(half, _WALK_GROWTH * d if d else _WALK_FIRST * (1.0 + abs(m)))
+        yield m - d
+        yield m + d
 
 
 def pointwise_residual(problem, u: OddPeriodicFunction,

@@ -314,6 +314,27 @@ class TestVerify:
         assert rec["outcome"]["verdict"] == "fail"
         assert rec["outcome"]["distance"] == pytest.approx(0.1, rel=0.1)
 
+    def test_solution_among_several_passes(self, tmp_path, run_cli):
+        # outside the contraction regime a second odd solution, of slope
+        # u'(0) about 0.455, lies in the bracket of this one's, about 1.728
+        cfg = write_config(tmp_path, {
+            "family": "pendulum",
+            "params": {"a": 0.8510919489882861},
+            "period": 8.377995415034054,
+            "forcing": [{"mode": 5, "amplitude": -0.18810434416878308},
+                        {"mode": 8, "amplitude": 0.4008348930932357},
+                        {"mode": 2, "amplitude": -0.44187539730181546}],
+        })
+        res = run_cli("solve", cfg, "--modes", "128", "--out", "p.csv",
+                      cwd=tmp_path)
+        assert res.returncode == 0
+        assert read_record(res.stdout)["outcome"]["regime"] == "continuation"
+        res = run_cli("verify", cfg, "p.csv", cwd=tmp_path)
+        assert res.returncode == 0
+        outcome = read_record(res.stdout)["outcome"]
+        assert outcome["distance"] <= 1e-10
+        assert outcome["shooting_v0"] == pytest.approx(1.72793, abs=1e-5)
+
     def test_oracle_blowup_exits_five(self, tmp_path, run_cli):
         cfg = write_config(tmp_path, CUBIC)
         res = run_cli("solve", cfg, "--modes", "64", "--out", "c.csv",

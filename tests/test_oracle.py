@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import oddperiodic.oracle as oracle
 from oddperiodic import (
@@ -22,6 +24,7 @@ from oddperiodic import (
     pointwise_residual,
     shoot,
     shooting_distances,
+    solve,
     solve_picard,
     sup_norm,
 )
@@ -42,6 +45,17 @@ def overflowing_slope_candidate():
     with pytest.raises(ValueError):
         differentiate(report.solution, 1)
     return cubic, report.solution
+
+
+def two_branch_pendulum():
+    """A forced pendulum outside the contraction regime with two odd
+    solutions whose slopes u'(0), about 0.455 and 1.728, share the bracket
+    of the second; solve reaches the second by continuation."""
+    return builtin("pendulum", {"a": 0.8510919489882861},
+                   period=8.377995415034054,
+                   forcing=[(5, -0.18810434416878308),
+                            (8, 0.4008348930932357),
+                            (2, -0.44187539730181546)])
 
 
 def reference_rk4(problem, v0, t_end, steps):
@@ -161,9 +175,22 @@ class TestShoot:
         assert abs(shot.v0) < 1e-10
         assert sup_norm(shot.reconstructed) < 1e-10
 
-    def test_secant_fallback_without_sign_change(self):
-        shot = shoot(zero_problem(), (1.0, 2.0))  # F > 0 on both endpoints
-        assert shot.v0 == pytest.approx(-1.0, abs=1e-9)
+    def test_no_sign_change_in_the_bracket_is_inconclusive(self, shot_slopes):
+        # u(pi; v0) = (v0 + 1) pi > 0 on the whole bracket; the root -1
+        # lies outside it and is never shot
+        with pytest.raises(OracleInconclusiveError):
+            shoot(zero_problem(), (1.0, 2.0))
+        assert len(shot_slopes) > 1
+        assert all(1.0 <= v0 <= 2.0 for v0 in shot_slopes)
+        assert shot_slopes[-2:] == [1.0, 2.0]  # the walk ends at the ends
+
+    def test_unreachable_tolerance_is_inconclusive(self, shot_slopes):
+        # u = -1e6 sin t: rounding keeps |u(pi)| above 1e-11 at every
+        # double near the root, so bisection runs out of doubles
+        with pytest.raises(OracleInconclusiveError, match="bisection"):
+            shoot(zero_problem(forcing=[(1, 1e6)]), (-1.5e6, -0.5e6))
+        assert 2 < len(shot_slopes) < 100
+        assert all(-1.5e6 <= v0 <= -0.5e6 for v0 in shot_slopes)
 
     def test_degenerate_seed_is_inconclusive(self):
         with pytest.raises(OracleInconclusiveError):
@@ -175,20 +202,27 @@ class TestShoot:
             shoot(zero_problem(), (0.7, 0.7))
         assert shot_slopes == [0.7]
 
-    def test_bisection_shoots_each_slope_once(self, shot_slopes):
-        # the midpoint -0.75 misses u(pi) = 0, so the bracket is bisected
+    def test_walk_and_bisection_shoot_each_slope_once(self, shot_slopes):
+        # the midpoint -0.75 misses u(pi) = (v0 + 1) pi = 0; the walk shoots
+        # -0.75 -+ d for d = 1.75e-9 * 16^j, and first crosses the root -1
+        # on the lower side at j = 7, d = 0.4697...
         p = zero_problem()
         shot = shoot(p, (-2.0, 0.5))
-        assert len(shot_slopes) > 3
+        walk = [-0.75 + sign * 1.75e-9 * 16.0**j
+                for j in range(7) for sign in (-1.0, 1.0)]
+        walk.append(-0.75 - 1.75e-9 * 16.0**7)
+        assert shot_slopes[:16] == pytest.approx([-0.75] + walk, rel=1e-15)
+        assert len(shot_slopes) > 16
         assert len(set(shot_slopes)) == len(shot_slopes)
-        assert shot_slopes[:3] == [-0.75, -2.0, 0.5]
-        # plain bisection from the endpoints reaches the same slope
+        assert all(-2.0 <= v0 <= 0.5 for v0 in shot_slopes)
+        # plain bisection between the walk's last slope and the midpoint
+        # reaches the same slope
         steps = len(shot.trajectory.t) - 1
 
         def F(v0):
             return integrate_ivp(p, 0.0, v0, np.pi, steps=steps).u[-1]
 
-        a, b = -2.0, 0.5
+        a, b = shot_slopes[15], -0.75
         fa = F(a)
         for _ in range(200):
             m = 0.5 * (a + b)
@@ -199,7 +233,7 @@ class TestShoot:
                 b = m
             else:
                 a, fa = m, fm
-        assert shot.v0 == m
+        assert shot.v0 == m == shot_slopes[-1]
         # the accepted shot's own trajectory is returned
         assert shot.trajectory.v[0] == shot.v0
         assert np.array_equal(shot.trajectory.u,
@@ -217,6 +251,15 @@ class TestShoot:
         shot = shoot(p, (-2.0, 0.5))
         assert abs(shot.v0 + 1.0) < 1e-10  # u = -sin t
         assert len(calls) <= 2 and all(f is p.k for f in calls)
+
+    def test_returns_the_root_nearest_the_midpoint(self):
+        p = two_branch_pendulum()
+        u = solve(p, modes=128).solution
+        a, b = oracle._slope_bracket(u)
+        assert a < 0.455 < 1.728 < b
+        assert shoot(p, (0.4, 0.5)).v0 == pytest.approx(0.4551, abs=1e-4)
+        # the midpoint is the candidate's slope, on the second root's side
+        assert shoot(p, (a, b)).v0 == pytest.approx(1.72793, abs=1e-5)
 
     def test_reconstruction_quality_invariants(self):
         p = builtin("pendulum", {"a": 0.04}, period=T2PI, forcing=[(1, 0.05)])
@@ -312,13 +355,51 @@ class TestCrossValidate:
         cv = cross_validate(p, report.solution, tol=1e-6)
         assert cv.passed
 
-    def test_corrupted_candidate_is_caught(self):
+    @pytest.mark.parametrize("mode,size", [(2, 0.1), (3, 1e-4)])
+    def test_corrupted_candidate_is_caught(self, mode, size):
+        # size*sin(mode*t) added to a genuine solution: the check fails,
+        # with a finite distance, rather than ending inconclusive
         p = builtin("pendulum", {"a": 0.04}, period=T2PI, forcing=[(1, 0.05)])
         u = solve_picard(p).solution
-        bad = u + OddPeriodicFunction(T2PI, [0.0, 0.1])  # add 0.1*sin(2t)
+        bad = u + OddPeriodicFunction(T2PI, [0.0] * (mode - 1) + [size])
         cv = cross_validate(p, bad, tol=1e-6)
         assert not cv.passed
-        assert cv.distance == pytest.approx(0.1, rel=0.05)
+        assert cv.distance == pytest.approx(size, rel=0.05)
+
+    @pytest.mark.parametrize("problem", [
+        two_branch_pendulum(),
+        builtin("tanh_g", {"s": 0.49992566982513287}, period=9.49815411951235,
+                forcing=[(7, -0.9751056491007373), (4, -0.8555018144815858),
+                         (5, -0.8187031352608753)]),
+    ], ids=["pendulum", "tanh_g"])
+    def test_a_solution_among_several_passes(self, problem):
+        # outside the contraction regime; the bracket of the candidate's
+        # slope holds another branch's root too
+        report = solve(problem, modes=128)
+        assert report.converged and report.regime == "continuation"
+        assert cross_validate(problem, report.solution).passed
+
+    @seed(20261020)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(family=st.sampled_from([("pendulum", "a"), ("tanh_g", "s"),
+                                   ("linear", "c")]),
+           param=st.floats(0.0, 1.0),
+           period=st.floats(1.0, 10.0),
+           modes=st.lists(st.integers(1, 8), min_size=1, max_size=3,
+                          unique=True),
+           data=st.data())
+    def test_every_accurate_solve_cross_validates(self, family, param, period,
+                                                  modes, data):
+        name, key = family
+        amplitudes = data.draw(st.lists(st.floats(-1.0, 1.0),
+                                         min_size=len(modes),
+                                         max_size=len(modes)))
+        p = builtin(name, {key: param}, period=period,
+                    forcing=list(zip(modes, amplitudes)))
+        # 500 maps per stage, not 10 000, bound the time of a row that stalls
+        report = solve(p, modes=128, max_iter=500)
+        if report.converged and report.residual <= 1e-9:
+            assert cross_validate(p, report.solution).passed
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_refuses_a_bad_tol_before_shooting(self, monkeypatch, tol):
@@ -385,20 +466,22 @@ class TestBatchedShots:
         problems = [make_problem(T, tanh.g, [(1, 0.5)], label="tanh")
                     for T in (1.0, 2.5, 4.0)]
         candidates = [solve_picard(p, modes=64).solution for p in problems]
-        # a poor candidate: its midpoint misses and bisection takes over
+        # a poor candidate: its midpoint misses, and its bracket holds the
+        # root at about -0.236
         problems.append(problems[1])
-        candidates.append(OddPeriodicFunction(2.5, [0.3]))
+        candidates.append(OddPeriodicFunction(2.5, [-0.1]))
         # a candidate whose first shot escapes
         cubic = builtin("cubic", {"c3": -1.0}, period=T2PI, forcing=[(1, 1.0)])
         problems.append(cubic)
         candidates.append(OddPeriodicFunction(T2PI, [50.0]))
         distances = shooting_distances(problems, candidates)
         # only the poor candidate shoots again, one scalar shot at a time,
-        # in shoot's sequence: its midpoint once more, then the lower end
-        # of its bracket
+        # in shoot's sequence: its midpoint once more, then the walk's
+        # first slope below it
         a, b = oracle._slope_bracket(candidates[3])
+        m = 0.5 * (a + b)
         assert len(shot_slopes) > 2
-        assert shot_slopes[:2] == [0.5 * (a + b), a]
+        assert shot_slopes[:2] == [m, m - 1e-9 * (1.0 + abs(m))]
         for p, u, d in zip(problems[:-1], candidates, distances):
             assert d == cross_validate(p, u).distance
         with pytest.raises(BlowUpError):
@@ -410,10 +493,11 @@ class TestBatchedShots:
         problems = [make_problem(T, tanh.g, [(1, 0.5)], label="tanh")
                     for T in (1.0, 2.5, 4.0)]
         candidates = [solve_picard(p, modes=64).solution for p in problems]
-        # two poor candidates, whose midpoints miss
+        # two poor candidates, whose midpoints miss and whose brackets hold
+        # the roots at about -0.236 and -0.526
         problems += [problems[1], problems[2]]
-        candidates += [OddPeriodicFunction(2.5, [0.3]),
-                       OddPeriodicFunction(4.0, [0.2])]
+        candidates += [OddPeriodicFunction(2.5, [-0.1]),
+                       OddPeriodicFunction(4.0, [-0.3])]
         # a candidate whose first shot escapes
         problems.append(builtin("cubic", {"c3": -1.0}, period=T2PI,
                                 forcing=[(1, 1.0)]))

@@ -5,7 +5,7 @@ Usage:
     python tools/same_records.py PARENT_SRC CHANGE_SRC
 
 Each argument is a ``src`` directory that holds the ``oddperiodic``
-package.  The script runs one fixed set of 111 CLI commands (below) once
+package.  The script runs one fixed set of 113 CLI commands (below) once
 per tree, with that tree first on ``PYTHONPATH``, each tree in its own
 temporary directory holding a copy of ``configs/``, a fixed set of
 malformed solution files for ``verify`` to refuse, the files of the
@@ -19,7 +19,7 @@ and sidecars.  The names of the files that differ are printed, and the
 exit code is 1 if any differ, else 0.  A differing record (``.stdout``)
 or sidecar (``.json``) that both runs wrote as JSON is followed by the
 dotted key paths at which the two differ, list items by index, for
-example ``cmd_92.stdout: outcome.apriori_bound``.
+example ``cmd_94.stdout: outcome.apriori_bound``.
 
 Standard library only.  The two trees run side by side, one command at a
 time each; on two cores the whole set takes about 40 s.
@@ -84,8 +84,10 @@ def malformed_solutions() -> dict[str, str]:
 def shooting_inputs() -> dict[str, str]:
     """Files by name for ``verify`` runs that take :func:`shoot` past its
     first midpoint: the sign-flipped solution u = +sin t of
-    ``configs/zero.json`` on 8 points (the secant path, distance about 2),
-    and a solution on period 1e-150 whose slope u' overflows."""
+    ``configs/zero.json`` on 8 points (no root in its bracket, so the
+    oracle is inconclusive), a solution on period 1e-150 whose slope u'
+    overflows, and a forced pendulum with two odd solutions whose slopes
+    share one bracket."""
     zero = json.loads((CONFIGS / "zero.json").read_text())
     period, tiny = zero["period"], 1e-150
     header = "t,u,u_prime,residual_pointwise\n"
@@ -97,6 +99,12 @@ def shooting_inputs() -> dict[str, str]:
         "flipped_sign.csv": header + "".join(flipped),
         "zero_tiny_period.json": json.dumps(dict(zero, period=tiny)),
         "overflowing_slope.csv": header + "".join(overflowing),
+        "two_branch_pendulum.json": json.dumps({
+            "family": "pendulum", "params": {"a": 0.8510919489882861},
+            "period": 8.377995415034054,
+            "forcing": [{"mode": 5, "amplitude": -0.18810434416878308},
+                        {"mode": 8, "amplitude": 0.4008348930932357},
+                        {"mode": 2, "amplitude": -0.44187539730181546}]}),
     }
 
 
@@ -178,8 +186,9 @@ def commands() -> list[list[str]]:
     # the reader's error records
     cmds += [["verify", "configs/zero.json", name]
              for name in malformed_solutions()]
-    # shoot past its first midpoint: bisection at low truncation orders,
-    # the secant on a sign-flipped solution, and a slope that overflows
+    # shoot past its first midpoint: at low truncation orders, on a
+    # sign-flipped solution (inconclusive), on a slope that overflows, and
+    # on the second of two solutions whose slopes share one bracket
     for name, modes in (("pendulum", 2), ("tanh", 8)):
         out = f"{name}_bracket_{modes}.csv"
         cmds.append(["solve", f"configs/{name}.json", "--modes", str(modes),
@@ -187,7 +196,10 @@ def commands() -> list[list[str]]:
         cmds.append(["verify", f"configs/{name}.json", out])
     cmds += [["compare", "configs/tanh.json", "--modes", "8"],
              ["verify", "configs/zero.json", "flipped_sign.csv"],
-             ["verify", "zero_tiny_period.json", "overflowing_slope.csv"]]
+             ["verify", "zero_tiny_period.json", "overflowing_slope.csv"],
+             ["solve", "two_branch_pendulum.json", "--modes", "128",
+              "--out", "two_branch_pendulum.csv"],
+             ["verify", "two_branch_pendulum.json", "two_branch_pendulum.csv"]]
     for cfg in derived_constant_configs():
         stem = cfg.removesuffix(".json")
         cmds += [
