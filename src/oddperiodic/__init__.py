@@ -23,7 +23,6 @@ from .funcspace import (
 )
 from .operators import (
     NonFiniteNonlinearityError,
-    OperatorNormBound,
     fixed_point_map,
     inverse_norm_bound,
     invert_second_derivative,

@@ -18,13 +18,12 @@ multiplies its rows by the per-mode gains of L^-1 in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .funcspace import (
     OddPeriodicFunction,
     OddSymmetryError,
+    _TWO_PI,
     _full_grid,
     _grid_max,
     _sine_rows,
@@ -34,7 +33,6 @@ from .funcspace import (
 from .funcspace import grid_samples  # noqa: F401
 
 __all__ = [
-    "OperatorNormBound",
     "NonFiniteNonlinearityError",
     "inverse_norm_bound",
     "invert_second_derivative",
@@ -42,47 +40,23 @@ __all__ = [
     "fixed_point_map",
 ]
 
-_TWO_PI = 2.0 * np.pi
-
 
 class NonFiniteNonlinearityError(ArithmeticError):
     """g(u) evaluated to inf/nan at some grid node."""
 
 
-@dataclass(frozen=True)
-class OperatorNormBound:
-    """Certified sup-norm data for the inverse of u -> u''.
-
-    Attributes
-    ----------
-    period : float
-        The period T.
-    certified_bound : float
-        T^2/2, the bound used by every certificate.
-    """
-
-    period: float
-    certified_bound: float
-
-    def per_mode_gain(self, n: int) -> float:
-        """(T/(2*pi*n))^2: the exact gain of the inverse on sine mode n."""
-        if n < 1:
-            raise ValueError("mode index must be >= 1")
-        return (self.period / (_TWO_PI * n)) ** 2
-
-
-def inverse_norm_bound(period: float) -> OperatorNormBound:
-    """Certified sup-norm bound T^2/2 for the inverse operator.
+def inverse_norm_bound(period: float) -> float:
+    """T^2/2, the certified sup-norm bound on the inverse of u -> u''.
 
     Raises
     ------
     ValueError
-        If period <= 0.
+        If period is not positive and finite.
     """
     period = float(period)
     if not np.isfinite(period) or period <= 0.0:
         raise ValueError(f"period must be positive, got {period}")
-    return OperatorNormBound(period=period, certified_bound=period * period / 2.0)
+    return period * period / 2.0
 
 
 def _neg_gains(period: float, modes: int) -> np.ndarray:

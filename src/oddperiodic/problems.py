@@ -274,7 +274,7 @@ class Problem:
     @np.errstate(all="ignore")
     def _validate_g(self) -> None:
         g = self.g
-        nb = inverse_norm_bound(self.period).certified_bound
+        nb = inverse_norm_bound(self.period)
         # the contraction certificate lambda = sup|g'| * T^2/2, refused
         # before it overflows downstream when it is negative or not finite
         self.certificate = None

@@ -48,7 +48,7 @@ class TestInverse:
         np.testing.assert_allclose(differentiate(u, 2).coeffs, f.coeffs,
                                    rtol=1e-13)
 
-    def test_per_mode_gain_is_exact(self):
+    def test_single_mode_gain_is_exact(self):
         for T in (0.7, 1.0, T2PI, 17.3):
             for n in (1, 2, 7, 64):
                 coeffs = np.zeros(n)
@@ -68,23 +68,27 @@ class TestInverse:
 
 class TestNormBound:
     def test_certified_value_is_half_period_squared(self):
-        assert inverse_norm_bound(T2PI).certified_bound == pytest.approx(
-            19.739208802178716, rel=1e-15)
-        assert inverse_norm_bound(1.0).certified_bound == 0.5
-        assert inverse_norm_bound(3.0).certified_bound == 4.5
+        assert inverse_norm_bound(T2PI) == T2PI * T2PI / 2.0
+        assert inverse_norm_bound(T2PI) == pytest.approx(19.739208802178716,
+                                                         rel=1e-15)
+        assert inverse_norm_bound(1.0) == 0.5
+        assert inverse_norm_bound(3.0) == 4.5
 
-    def test_per_mode_gains_decrease_below_bound(self):
-        nb = inverse_norm_bound(T2PI)
-        assert nb.per_mode_gain(1) == pytest.approx(1.0, rel=1e-15)
-        gains = [nb.per_mode_gain(n) for n in range(1, 30)]
+    def test_single_mode_gains_decrease_below_bound(self):
+        gains = []
+        for n in range(1, 30):
+            coeffs = np.zeros(n)
+            coeffs[-1] = 1.0
+            u = invert_second_derivative(OddPeriodicFunction(T2PI, coeffs))
+            gains.append(abs(u.coeffs[-1]))
+        assert gains[0] == pytest.approx(1.0, rel=1e-15)
         assert all(a > b for a, b in zip(gains, gains[1:]))
-        assert gains[0] <= nb.certified_bound
+        assert gains[0] <= inverse_norm_bound(T2PI)
 
     def test_rejects_nonpositive_period(self):
-        with pytest.raises(ValueError):
-            inverse_norm_bound(0.0)
-        with pytest.raises(ValueError):
-            inverse_norm_bound(-2.0)
+        for period in (0.0, -2.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                inverse_norm_bound(period)
 
     def test_bound_never_violated_empirically(self, rng, make_random_odd):
         worst = 0.0

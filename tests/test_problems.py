@@ -416,7 +416,7 @@ def reference_certificate(problem) -> ContractionCertificate:
         raise CertificateError(
             f"no sup|g'| bound is available for g = {problem.g.name!r}; "
             "the contraction certificate cannot be evaluated")
-    norm_bound = inverse_norm_bound(problem.period).certified_bound
+    norm_bound = inverse_norm_bound(problem.period)
     factor = float(bound) * norm_bound
     return ContractionCertificate(
         lipschitz_g=float(bound),
@@ -429,7 +429,7 @@ def reference_certificate(problem) -> ContractionCertificate:
 def reference_apriori_bound(problem) -> float:
     """``apriori_bound`` as it formed the bound before problems carried it,
     with sup|k| taken as its upper bound sum |b_n|."""
-    nb = inverse_norm_bound(problem.period).certified_bound
+    nb = inverse_norm_bound(problem.period)
     k_norm = float(np.sum(np.abs(problem.k.coeffs)))
     best = None
     for eps, M in problem.majorants:
