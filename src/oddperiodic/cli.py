@@ -29,7 +29,6 @@ from pathlib import Path
 import numpy as np
 
 from .funcspace import (
-    OddPeriodicFunction,
     OddSymmetryError,
     differentiate,
     from_samples,
@@ -45,8 +44,7 @@ from .oracle import (
     pointwise_residual,
     shooting_distances,
 )
-from .problems import (MAX_MODES, ProblemError, _check_limits, _decode,
-                       _period, make_problem, parse_problem)
+from .problems import MAX_MODES, ProblemError, _check_limits, _decode, parse_problem
 from .solver import (
     DEFAULT_MAX_ITER,
     DEFAULT_MODES,
@@ -69,9 +67,12 @@ CSV_BLOCK_ROWS = 1024
 SWEEP_COLUMNS = ["param", "lambda", "holds", "converged", "iterations",
                  "solution_norm", "residual", "oracle_distance"]
 MAX_SWEEP_STEPS = 10_000
-# a sweep solves and shoots its rows in passes of at most this many working
-# coefficients (rows x modes), and keeps only the table rows between passes
+# a sweep solves and shoots its rows in passes and keeps only the table rows
+# between them: a pass holds at most this many working coefficients (rows x
+# modes) and at most this many rows, as each row's half-period shot holds
+# 24 KB of tables whatever its modes
 SWEEP_PASS_COEFFS = 2**18
+SWEEP_PASS_ROWS = 256
 
 
 def _dumps(record: dict) -> str:
@@ -244,18 +245,13 @@ def cmd_sweep(args, cfg, base_problem):
         raise ProblemError("bad_range",
                            f"unknown sweep parameter {param!r} for this config")
     values = np.linspace(start, stop, args.steps).tolist()
-    if param == "period":
-        # every row shares the base problem's g, so a batched step makes
-        # one g call for all rows, and its validated forcing coefficients
-        def row_problem(value):
-            k = OddPeriodicFunction(_period(value), base_problem.k.coeffs)
-            return make_problem(value, base_problem.g, k,
-                                label=base_problem.label)
-    else:
-        def row_problem(value):
-            return parse_problem({**cfg, "params": {**cfg["params"], param: value}})
-    rows_per_pass = max(1, SWEEP_PASS_COEFFS
-                        // max(args.modes, base_problem.k.modes))
+
+    def row_problem(value):  # the config with the one value replaced
+        if param == "period":
+            return parse_problem({**cfg, "period": value})
+        return parse_problem({**cfg, "params": {**cfg["params"], param: value}})
+    rows_per_pass = max(1, min(SWEEP_PASS_ROWS, SWEEP_PASS_COEFFS
+                               // max(args.modes, base_problem.k.modes)))
     table = []
     for first in range(0, len(values), rows_per_pass):
         chunk = values[first:first + rows_per_pass]

@@ -367,5 +367,9 @@ def differentiate(f: OddPeriodicFunction, order: int):
     if order == 1:
         return EvenPeriodicFunction(f.period, w * f.coeffs)
     if order == 2:
-        return OddPeriodicFunction(f.period, -(w * w) * f.coeffs)
+        # -(w*w)*b, and -w*(w*b) where that is not finite: w*w overflows for
+        # n of about 2100 at T = 1e-150, where inf*0 = nan would stand for 0
+        d2 = -(w * w) * f.coeffs
+        d2 = np.where(np.isfinite(d2), d2, -w * (w * f.coeffs))
+        return OddPeriodicFunction(f.period, d2)
     raise ValueError("order must be 1 or 2")

@@ -325,26 +325,27 @@ def _walk(m: float, half: float):
 
 def pointwise_residual(problem, u: OddPeriodicFunction,
                        n_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """|u''(t_j) + g(u(t_j)) - k(t_j)| on the grid t_j = j*T/P, j = 0..P-1.
+    """|u''(t_j) + g(u(t_j)) - k(t_j)| on the grid t_j = j*T/P, j = 0..P-1,
+    or inf at every t_j if u'' overflows.
 
     The defect of the differential equation itself, with u'' taken
     spectrally -- independent of the fixed-point formulation.  Returns the
     samples u(t_j) together with the residual, so a caller that needs both
     synthesizes u once.
     """
-    upp = grid_samples(differentiate(u, 2), n_points)
-    k = grid_samples(problem.k, n_points)
     su = grid_samples(u, n_points)
+    try:
+        upp = grid_samples(differentiate(u, 2), n_points)
+    except ValueError:  # the series constructor refuses an overflowing u''
+        return su, np.full(n_points, math.inf)
+    k = grid_samples(problem.k, n_points)
     with np.errstate(over="ignore", invalid="ignore"):
         return su, np.abs(upp + problem.g.value(su) - k)
 
 
 def ode_residual(problem, u: OddPeriodicFunction) -> float:
-    """max of :func:`pointwise_residual` on 4N points; inf if u'' overflows."""
-    try:
-        return float(np.max(pointwise_residual(problem, u, 4 * u.modes)[1]))
-    except ValueError:  # the series constructor refuses an overflowing u''
-        return math.inf
+    """max of :func:`pointwise_residual` on 4N points."""
+    return float(np.max(pointwise_residual(problem, u, 4 * u.modes)[1]))
 
 
 def _slope_bracket(u: OddPeriodicFunction) -> tuple[float, float]:

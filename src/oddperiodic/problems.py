@@ -28,6 +28,7 @@ import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -160,76 +161,71 @@ class Nonlinearity:
     params: dict = field(default_factory=dict)
 
 
-def _zero_family() -> Nonlinearity:
-    z = lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    return Nonlinearity("zero", z, z, gprime_bound=0.0, majorants=((0.0, 0.0),))
+# each built-in family's g and g' as functions of (*params, x), which its
+# Nonlinearity binds to the parameters with functools.partial; a parameter
+# may also be a column of per-row values shaped to x, for one call of g
+# over many rows (see _row_values)
+_VALUES = {
+    "zero": lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+    "linear": lambda c, x: c * np.asarray(x, dtype=float),
+    "pendulum": lambda a, x: a * np.sin(x),
+    "tanh_g": lambda s, x: s * np.tanh(x),
+    # x*x*x (not x**3): exactly sign-symmetric
+    "cubic": lambda c3, x: c3 * np.asarray(x, dtype=float) * x * x,
+}
 
 
-def _linear_family(c: float) -> Nonlinearity:
-    return Nonlinearity(
-        "linear",
-        lambda x: c * np.asarray(x, dtype=float),
-        lambda x: np.full_like(np.asarray(x, dtype=float), c),
-        gprime_bound=abs(c),
-        majorants=((abs(c), 0.0),),
-        params={"c": c},
-    )
+def _tanh_derivative(s, x):
+    # s*sech(x)^2 with sech(x)^2 = 4e/(1+e)^2 <= 1 from e = exp(-2|x|) <= 1,
+    # so no step can overflow
+    e = np.exp(-2.0 * np.abs(x))
+    return s * (4.0 * e / (1.0 + e) ** 2)
 
 
-def _pendulum_family(a: float) -> Nonlinearity:
-    return Nonlinearity(
-        "pendulum",
-        lambda x: a * np.sin(x),
-        lambda x: a * np.cos(x),
-        gprime_bound=abs(a),
-        majorants=((0.0, abs(a)),),
-        params={"a": a},
-    )
+_DERIVATIVES = {
+    "zero": _VALUES["zero"],
+    "linear": lambda c, x: np.full_like(np.asarray(x, dtype=float), c),
+    "pendulum": lambda a, x: a * np.cos(x),
+    "tanh_g": _tanh_derivative,
+    "cubic": lambda c3, x: 3.0 * c3 * np.asarray(x, dtype=float) * x,
+}
 
 
-def _tanh_family(s: float) -> Nonlinearity:
-    def derivative(x):
-        # s*sech(x)^2 with sech(x)^2 = 4e/(1+e)^2 <= 1 from e = exp(-2|x|) <= 1,
-        # so no step can overflow
-        e = np.exp(-2.0 * np.abs(x))
-        return s * (4.0 * e / (1.0 + e) ** 2)
-
-    return Nonlinearity(
-        "tanh_g",
-        lambda x: s * np.tanh(x),
-        derivative,
-        gprime_bound=abs(s),
-        majorants=((0.0, abs(s)),),
-        params={"s": s},
-    )
-
-
-def _cubic_family(c3: float) -> Nonlinearity:
-    def value(x):
-        x = np.asarray(x, dtype=float)
-        return c3 * x * x * x  # x*x*x (not x**3): exactly sign-symmetric
-
-    def derivative(x):
-        x = np.asarray(x, dtype=float)
-        return 3.0 * c3 * x * x
-
-    return Nonlinearity("cubic", value, derivative, params={"c3": c3})
+def _family(name: str, bound: float | None, majorant: tuple | None,
+            **params: float) -> Nonlinearity:
+    """The built-in family ``name`` at ``params``, declaring ``bound`` on
+    sup|g'| and the one majorant pair ``majorant`` (None: none)."""
+    args = tuple(params.values())
+    return Nonlinearity(name, partial(_VALUES[name], *args),
+                        partial(_DERIVATIVES[name], *args), gprime_bound=bound,
+                        majorants=() if majorant is None else (majorant,),
+                        params=params)
 
 
 def _row_values(gs) -> Callable:
-    """The function sending row i of an array through ``gs[i].value``: one
-    call for all rows when they share one g, else one call per row."""
-    if all(g is gs[0] for g in gs):
-        return gs[0].value
-    return lambda x: np.array([g.value(row) for g, row in zip(gs, x)])
+    """The function sending row i of an (R, P) or (R,) array through
+    ``gs[i].value``.  Where each value is one built-in family's g (an
+    override of the bound or majorants keeps it), that is one call of the
+    family with each parameter as a column shaped to the array: a column
+    times an array makes the IEEE products a scalar makes with each row.
+    Any other rows take one call each."""
+    values = [g.value for g in gs]
+    family = getattr(values[0], "func", None)
+    if family in _VALUES.values() and all(
+            isinstance(v, partial) and v.func is family for v in values):
+        columns = np.array([v.args for v in values], dtype=float).T
+        shaped = {1: tuple(columns), 2: tuple(columns[..., np.newaxis])}
+        return lambda x: family(*shaped[np.ndim(x)], x)
+    return lambda x: np.array([value(row) for value, row in zip(values, x)])
 
 
+# each family's factory of its parameters, and their names
 FAMILIES: dict[str, tuple[Callable, tuple[str, ...]]] = {
-    "zero": (_zero_family, ()),
-    "linear": (_linear_family, ("c",)),
-    "pendulum": (_pendulum_family, ("a",)),
-    "tanh_g": (_tanh_family, ("s",)),
-    "cubic": (_cubic_family, ("c3",)),
+    "zero": (lambda: _family("zero", 0.0, (0.0, 0.0)), ()),
+    "linear": (lambda c: _family("linear", abs(c), (abs(c), 0.0), c=c), ("c",)),
+    "pendulum": (lambda a: _family("pendulum", abs(a), (0.0, abs(a)), a=a), ("a",)),
+    "tanh_g": (lambda s: _family("tanh_g", abs(s), (0.0, abs(s)), s=s), ("s",)),
+    "cubic": (lambda c3: _family("cubic", None, None, c3=c3), ("c3",)),
 }
 
 
@@ -364,17 +360,11 @@ def _forcing_series(forcing, period: float) -> OddPeriodicFunction:
 
 def make_problem(period: float, g: Nonlinearity, forcing,
                  label: str = "") -> Problem:
-    """Build a validated Problem from a nonlinearity and a forcing.
-
-    ``forcing`` is either a sequence of (mode, amplitude) pairs or an
-    already-constructed OddPeriodicFunction with the right period.
-    """
+    """Build a validated Problem from a nonlinearity and the forcing's
+    sine series as (mode, amplitude) pairs; ``Problem(period, g, k)``
+    takes a ready OddPeriodicFunction k."""
     period = _period(period)
-    if isinstance(forcing, OddPeriodicFunction):
-        k = forcing
-    else:
-        k = _forcing_series(forcing, period)
-    return Problem(period, g, k, label=label)
+    return Problem(period, g, _forcing_series(forcing, period), label=label)
 
 
 def _nonlinearity(family, params) -> Nonlinearity:

@@ -149,7 +149,9 @@ def solve_many(problems, *, method: str = "auto", tol: float = DEFAULT_TOL,
     stage) or ``auto``: Picard where the contraction certificate holds or
     g declares no majorant, continuation otherwise.  Each report carries
     the certificate its problem derived at validation.  The rows of
-    one working size step together as one array (see :func:`_drive`).
+    one working size step together as one array (see :func:`_drive`), and
+    rows whose g are of one built-in family evaluate it in one call (see
+    :func:`problems._row_values`).
     Raises ProblemError ``bad_modes``, ``bad_tol`` or ``bad_max_iter``
     before any problem is looked at (see :func:`problems._check_limits`),
     and MajorantError where continuation meets a g without majorants.

@@ -424,6 +424,23 @@ INPUT_FILES = {
 }
 
 
+@pytest.mark.parametrize("modes", [2048, 4096])
+def test_tiny_period_solution_is_written_and_verified(tmp_path, run_cli, modes):
+    # at T = 1e-150, (2 pi n/T)^2 overflows for n above about 2100, where
+    # the solution's b_n are 0: u'' there is -w*(w*b_n), not inf*0 = nan
+    cfg = write_config(tmp_path, dict(PENDULUM, period=1e-150))
+    res = run_cli("solve", cfg, "--modes", str(modes), "--out", "u.csv",
+                  cwd=tmp_path)
+    assert res.returncode == 0 and res.stderr == ""
+    with (tmp_path / "u.csv").open(newline="") as fh:
+        residuals = [float(row[3]) for row in itertools.islice(
+            csv.reader(fh), 1, None)]
+    assert len(residuals) == 4 * modes and max(residuals) <= 1e-12
+    res = run_cli("verify", cfg, "u.csv", cwd=tmp_path)
+    assert res.returncode == 0 and res.stderr == ""
+    assert read_record(res.stdout)["outcome"]["verdict"] == "pass"
+
+
 @pytest.mark.parametrize("name", list(INPUT_FILES))
 def test_input_file_exit_code(tmp_path, run_cli, name):
     config_text, solution_text, expected = INPUT_FILES[name]
@@ -957,10 +974,10 @@ def test_sweep_row_takes_one_certificate_and_one_residual(tmp_path,
     assert len(rows) == 6 and {r["holds"] for r in rows} == {True, False}
     # the certificate is derived by the validation of the base config and
     # of each row, and the sweep reads it there without calling certify;
-    # only the base config's forcing pairs are validated, and each row
-    # takes their coefficients
+    # each row is parsed from the config, so the base config and each row
+    # realize the forcing pairs once
     assert calls == {"certify": 0, "pointwise_residual": 6, "_validate_g": 7,
-                     "_forcing_series": 1}
+                     "_forcing_series": 7}
 
 
 def test_param_sweep_validates_each_row_once(tmp_path, monkeypatch):
@@ -1012,6 +1029,69 @@ def test_sweep_in_passes_equals_one_pass(tmp_path, monkeypatch):
     assert len(rows_per_call) >= 3 and sum(rows_per_call) == 10
     assert max(rows_per_call) * 32 <= budget
     assert {row["holds"] for row in one_pass[0]["outcome"]["rows"]} == {True, False}
+
+
+@pytest.mark.parametrize("modes,passes", [(8, [256, 256, 88]),
+                                          (2048, [128] * 4 + [88])])
+def test_sweep_pass_bounds_its_rows(tmp_path, monkeypatch, modes, passes):
+    # each row's half-period shot holds its tables of k and u whatever its
+    # modes, so a pass takes at most 256 rows, and fewer where their
+    # working coefficients pass 2^18
+    from oddperiodic import cli
+
+    rows_per_call = []
+    monkeypatch.setattr(cli, "solve_many", lambda problems, **kwargs: (
+        rows_per_call.append(len(problems)) or []))
+    monkeypatch.setattr(cli, "shooting_distances", lambda *args: [])
+    cfg = write_config(tmp_path, PENDULUM)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["sweep", cfg, "--param", "period", "--from", "1",
+                         "--to", "3", "--steps", "600", "--modes", str(modes),
+                         "--out", str(tmp_path / "s.csv")])
+    assert code == 0 and rows_per_call == passes
+
+
+def test_param_sweep_calls_g_once_per_tick_and_rk4_stage(tmp_path,
+                                                        monkeypatch):
+    # the rows of a --param sweep share one family, not one g: the batched
+    # map makes one call of tanh_g per tick, and the batched midpoint shots
+    # four per RK4 step, where one call per row makes 40 and 160
+    from oddperiodic import cli, oracle, problems, solver
+
+    phase, calls = [None], {}
+    tanh = problems._VALUES["tanh_g"]
+
+    def counted(*args):
+        calls[phase[0]] = calls.get(phase[0], 0) + 1
+        return tanh(*args)
+
+    def in_phase(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            phase[0] = name
+            calls[f"{name} calls"] = calls.get(f"{name} calls", 0) + 1
+            try:
+                return original(*args)
+            finally:
+                phase[0] = None
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    monkeypatch.setitem(problems._VALUES, "tanh_g", counted)
+    in_phase(solver, "_nonlinear_parts")
+    in_phase(oracle, "_integrate_rows")
+    cfg = write_config(tmp_path, TANH)
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        code = cli.main(["sweep", cfg, "--param", "s", "--from", "0.1",
+                         "--to", "8", "--steps", "40", "--modes", "64",
+                         "--out", str(tmp_path / "s.csv")])
+    assert code == 0
+    assert len(read_record(stdout.getvalue())["outcome"]["rows"]) == 40
+    ticks = calls["_nonlinear_parts calls"]
+    assert ticks > 1 and calls["_nonlinear_parts"] == ticks
+    assert calls["_integrate_rows calls"] == 1
+    assert calls["_integrate_rows"] == 4 * 1024
 
 
 @pytest.mark.parametrize("start", ["0", "-1", "1e-300"])

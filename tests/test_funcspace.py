@@ -287,6 +287,21 @@ class TestDifferentiate:
         assert np.max(np.abs(up(t) - up(-t))) == 0.0
         assert np.max(np.abs(upp(t) + upp(-t))) == 0.0
 
+    def test_second_derivative_of_a_tiny_period(self):
+        # (2 pi n/T)^2 overflows at T = 1e-150 for n >= 2100 or so: a zero
+        # coefficient there stays 0, the others take -w*(w*b)
+        T, N = 1e-150, 4096
+        coeffs = np.zeros(N)
+        coeffs[[0, 2999]] = [1e-300, 1e-310]
+        w = 2.0 * np.pi * np.arange(1, N + 1) / T
+        upp = differentiate(OddPeriodicFunction(T, coeffs), 2).coeffs
+        assert w[2999] > np.sqrt(np.finfo(float).max)  # w*w overflows
+        assert upp[0] == -(w[0] * w[0]) * 1e-300
+        assert upp[2999] == -w[2999] * (w[2999] * 1e-310)
+        assert not np.any(np.delete(upp, [0, 2999]))
+        with pytest.raises(ValueError):  # an overflowing u'' is refused
+            differentiate(OddPeriodicFunction(T, [0.0] * 2999 + [1.0]), 2)
+
     def test_rejects_other_orders(self):
         u = OddPeriodicFunction(1.0, [1.0])
         with pytest.raises(ValueError):

@@ -307,6 +307,9 @@ class TestResidual:
         # at T = 1e-103 the mode's (2 pi / T)^2 = 4e207 takes u'' past 1e308
         p = builtin("zero", period=1e-103, forcing=[(1, 1.0)])
         assert ode_residual(p, OddPeriodicFunction(1e-103, [-1e101])) == np.inf
+        samples, residual = pointwise_residual(
+            p, OddPeriodicFunction(1e-103, [-1e101]), 8)
+        assert np.all(np.isfinite(samples)) and np.all(residual == np.inf)
 
     def test_end_to_end_solver_residual(self):
         p = builtin("pendulum", {"a": 0.04}, period=T2PI, forcing=[(1, 0.05)])

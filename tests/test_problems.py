@@ -6,11 +6,13 @@ import json
 import pickle
 import struct
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oddperiodic import cli, problems
 from oddperiodic import (
@@ -135,7 +137,7 @@ class TestValidation:
     def test_forcing_period_must_match(self):
         k = OddPeriodicFunction(1.0, [1.0])
         with pytest.raises(ProblemError) as e:
-            make_problem(2.0, builtin("zero", period=2.0, forcing=[]).g, k)
+            Problem(2.0, builtin("zero", period=2.0, forcing=[]).g, k)
         assert e.value.code == "bad_forcing"
 
 
@@ -500,6 +502,76 @@ def test_problem_derives_the_reference_certificate_and_bound(
         assert bound_outcome == reference and reference[0] is MajorantError
     else:
         assert _bits(bound_outcome) == _bits(reference) == _bits(p.apriori_bound)
+
+
+# --- g of many rows: one call per family ----------------------------------
+
+@st.composite
+def _rows_of_g(draw):
+    """The g of 1..6 rows: of one built-in family, or one draw in four of
+    any families, each with its own parameter and perhaps an override of
+    its bound or majorants, as a config's are applied."""
+    names = sorted(problems.FAMILIES)
+    family, mixed = draw(st.sampled_from(names)), draw(st.integers(0, 3)) == 0
+    gs = []
+    for _ in range(draw(st.integers(1, 6))):
+        factory, params = problems.FAMILIES[
+            draw(st.sampled_from(names)) if mixed else family]
+        g = factory(*(draw(st.floats(-1e3, 1e3) | st.floats(allow_nan=False))
+                      for _ in params))
+        if draw(st.booleans()):
+            g = replace(g, gprime_bound=draw(st.floats(0.0, 1e3)))
+        if draw(st.booleans()):
+            g = replace(g, majorants=g.majorants + ((0.5, 2.0),))
+        gs.append(g)
+    return gs
+
+
+def _bytes_of(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(gs=_rows_of_g(), data=st.data())
+def test_g_of_rows_equals_each_rows_g(gs, data):
+    # a parameter column times the rows makes the products of each row's
+    # own scalar, bit for bit, on (R, P) arrays and on (R,) arrays alike
+    x = data.draw(hnp.arrays(float, (len(gs), data.draw(st.integers(1, 16))),
+                             elements=st.floats(-1e3, 1e3) | st.floats()))
+    with np.errstate(all="ignore"):
+        for rows in (x, x[:, 0]):
+            out = problems._row_values(gs)(rows)
+            assert out.shape == rows.shape
+            for g, row, got in zip(gs, rows, out):
+                assert _bytes_of(got) == _bytes_of(g.value(row))
+
+
+def test_g_of_one_family_is_one_call_and_a_custom_g_one_per_row():
+    calls = []
+
+    def counted(name):
+        family = problems._VALUES[name]
+        return lambda *args: calls.append(name) or family(*args)
+
+    x = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+    pend = [builtin("pendulum", {"a": a}, period=T2PI, forcing=[(1, 0.05)]).g
+            for a in (0.01, 0.02, 0.03)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(problems._VALUES, "pendulum", counted("pendulum"))
+        batched = [problems.FAMILIES["pendulum"][0](a) for a in (0.01, 0.02, 0.03)]
+        out = problems._row_values(batched)(x)
+    assert calls == ["pendulum"]
+    assert out.tobytes() == problems._row_values(pend)(x).tobytes()
+    # a custom g with a family's name and params but its own value is not
+    # that family: it goes row by row
+    rows = []
+    custom = Nonlinearity("pendulum", lambda u: rows.append(u) or 2.0 * np.sin(u),
+                          pend[0].derivative, params={"a": 0.01})
+    out = problems._row_values([pend[0], custom, pend[2]])(x)
+    assert len(rows) == 1 and np.array_equal(rows[0], x[1])
+    assert [r.tobytes() for r in out] == [
+        pend[0].value(x[0]).tobytes(), (2.0 * np.sin(x[1])).tobytes(),
+        pend[2].value(x[2]).tobytes()]
 
 
 # --- the input contract, fuzzed -------------------------------------------

@@ -5,14 +5,15 @@ Usage:
     python tools/same_records.py PARENT_SRC CHANGE_SRC
 
 Each argument is a ``src`` directory that holds the ``oddperiodic``
-package.  The script runs one fixed set of 113 CLI commands (below) once
+package.  The script runs one fixed set of 123 CLI commands (below) once
 per tree, with that tree first on ``PYTHONPATH``, each tree in its own
 temporary directory holding a copy of ``configs/``, a fixed set of
 malformed solution files for ``verify`` to refuse, the files of the
 ``verify`` runs that take the oracle's bracket phase, a fixed set of
 configs that take the error and override paths of a problem's certificate
-and a-priori bound, a config forced at two modes, and a config whose
-iterates overflow.  It then compares what the two runs left: every record
+and a-priori bound, a config forced at two modes, a config whose iterates
+overflow, a config with a derivative bound override for a ``--param``
+sweep, and a config at period 1e-150, where (2*pi*n/T)^2 overflows.  It then compares what the two runs left: every record
 on stdout, every stderr, every exit code, and every CSV and sidecar
 written.  The only part left out is the ``wall_time_s`` field of records
 and sidecars.  The names of the files that differ are printed, and the
@@ -145,6 +146,20 @@ def overflowing_configs() -> dict[str, str]:
     return {"linear_huge_period.json": json.dumps(dict(base, period=1e150))}
 
 
+def bound_override_configs() -> dict[str, str]:
+    """Configs by file name: ``configs/tanh.json`` with a derivative_bound
+    override of 2, at or above every s of its ``--param`` sweep."""
+    base = json.loads((CONFIGS / "tanh.json").read_text())
+    return {"tanh_bound_override.json": json.dumps(dict(base, derivative_bound=2.0))}
+
+
+def tiny_period_configs() -> dict[str, str]:
+    """Configs by file name: ``configs/pendulum.json`` at period 1e-150,
+    where (2*pi*n/T)^2 overflows for n above about 2100."""
+    base = json.loads((CONFIGS / "pendulum.json").read_text())
+    return {"pendulum_tiny_period.json": json.dumps(dict(base, period=1e-150))}
+
+
 def commands() -> list[list[str]]:
     """The command set: each argv runs as ``python -m oddperiodic argv``."""
     cmds = [
@@ -232,6 +247,22 @@ def commands() -> list[list[str]]:
              _sweep("configs/linear_small.json", "period",
                     "12345678901234567890", 1e308, 1, 1,
                     "--out", "sweep_overflow_fuzz.csv")]
+    # --param sweeps of each family with a parameter, one with a bound
+    # override, and a period sweep of zero: rows of one family share g
+    cmds += [_sweep(cfg, param, start, stop, 5, 64, "--out", f"family_{i}.csv")
+             for i, (cfg, param, start, stop) in enumerate([
+                 ("configs/linear_small.json", "c", 0.01, 0.5),
+                 ("configs/pendulum.json", "a", 0.01, 0.5),
+                 ("configs/tanh.json", "s", 0.1, 2.0),
+                 ("configs/cubic_large.json", "c3", 0.1, 1.0),
+                 ("tanh_bound_override.json", "s", 0.1, 2.0),
+                 ("configs/zero.json", "period", 1.0, 12.0)])]
+    # u'' where (2*pi*n/T)^2 overflows: solve, then verify the CSV
+    for cfg in tiny_period_configs():
+        for modes in (2048, 4096):
+            out = f"{cfg.removesuffix('.json')}_{modes}.csv"
+            cmds += [["solve", cfg, "--modes", str(modes), "--out", out],
+                     ["verify", cfg, out]]
     return cmds
 
 
@@ -242,7 +273,8 @@ def run_all(src: Path, workdir: Path) -> None:
     for name, text in {**malformed_solutions(), **shooting_inputs(),
                        **derived_constant_configs(),
                        **multi_mode_configs(),
-                       **overflowing_configs()}.items():
+                       **overflowing_configs(), **bound_override_configs(),
+                       **tiny_period_configs()}.items():
         (workdir / name).write_bytes(text.encode())
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
