@@ -21,6 +21,7 @@ import csv
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from array import array
@@ -68,18 +69,17 @@ SWEEP_COLUMNS = ["param", "lambda", "holds", "converged", "iterations",
                  "solution_norm", "residual", "oracle_distance"]
 MAX_SWEEP_STEPS = 10_000
 # a sweep solves and shoots its rows in passes and keeps only the table rows
-# between them: a pass holds at most this many working coefficients (rows x
-# modes) and at most this many rows, as each row's half-period shot holds
-# 24 KB of tables whatever its modes
+# between them: a pass holds this many working coefficients (rows x modes)
+# at most, a row counting as at least 1024 for its shot's 24 KB of tables
 SWEEP_PASS_COEFFS = 2**18
-SWEEP_PASS_ROWS = 256
 
 
-def _dumps(record: dict) -> str:
-    """Strict JSON: json writes each non-finite float as a NaN or Infinity
-    token and reads it back as None, which is written as null."""
-    return json.dumps(json.loads(json.dumps(record), parse_constant=lambda _: None),
-                      indent=2, sort_keys=True)
+def _write_record(record: dict, fh) -> None:
+    """Strict JSON into ``fh``: json writes a non-finite float as a NaN or
+    Infinity token, reads it back as None and only then streams it, as null."""
+    json.dump(json.loads(json.dumps(record), parse_constant=lambda _: None),
+              fh, indent=2, sort_keys=True)
+    fh.write("\n")
 
 
 def _report_outcome(report) -> dict:
@@ -250,8 +250,8 @@ def cmd_sweep(args, cfg, base_problem):
         if param == "period":
             return parse_problem({**cfg, "period": value})
         return parse_problem({**cfg, "params": {**cfg["params"], param: value}})
-    rows_per_pass = max(1, min(SWEEP_PASS_ROWS, SWEEP_PASS_COEFFS
-                               // max(args.modes, base_problem.k.modes)))
+    rows_per_pass = max(1, SWEEP_PASS_COEFFS
+                        // max(args.modes, base_problem.k.modes, 1024))
     table = []
     for first in range(0, len(values), rows_per_pass):
         chunk = values[first:first + rows_per_pass]
@@ -384,12 +384,17 @@ def main(argv=None) -> int:
         }
         if args.command == "solve":
             # appended, not substituted: <out>.json can never clobber an input
-            Path(f"{args.out}.json").write_text(_dumps(record) + "\n")
+            with Path(f"{args.out}.json").open("w") as fh:
+                _write_record(record, fh)
     except ProblemError as exc:
         record, code = {"error": {"code": exc.code, "message": str(exc)}}, EXIT_INPUT
     except OSError as exc:
         record, code = {"error": {"code": "bad_document", "message": str(exc)}}, EXIT_INPUT
-    print(_dumps(record))
+    try:
+        _write_record(record, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:  # a closed stdout: quiet the exit flush as well
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -199,10 +199,10 @@ def _rk4_step(g, u, v, h, h2, h6, ka, kb, kc):
             v + h6 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v))
 
 
-def _integrate_rows(problems, u0, v0, t_end, steps: int):
-    """:func:`integrate_ivp` of many rows at once, each with its own
-    ``u0``, ``v0`` and ``t_end`` but the same ``steps``: one loop over the
-    steps on arrays over the rows.
+def _integrate_rows(problems, v0):
+    """:func:`shoot`'s half-period shot for many rows at once, row i from
+    u(0) = 0 with slope ``v0[i]`` to T_i/2 in _HALF_PERIOD_STEPS RK4
+    steps: one loop over the steps on arrays over the rows.
 
     Returns u at the nodes, one row per problem, and the mask of the rows
     that blow up.  Rows never mix, so a row that blows up runs on beside
@@ -210,8 +210,9 @@ def _integrate_rows(problems, u0, v0, t_end, steps: int):
     of u is bitwise that of integrate_ivp wherever the mask is clear, and
     integrate_ivp raises BlowUpError wherever it is set.
     """
-    n = len(problems)
-    h = np.asarray(t_end, dtype=float) / steps
+    n, steps = len(problems), _HALF_PERIOD_STEPS
+    t_end = [0.5 * p.period for p in problems]
+    h = np.array(t_end) / steps
     # forcing at the nodes and midpoints of each row, one step per line
     k_node, k_half = np.empty((steps + 1, n)), np.empty((steps, n))
     for j, (p, t_j) in enumerate(zip(problems, t_end)):
@@ -221,7 +222,7 @@ def _integrate_rows(problems, u0, v0, t_end, steps: int):
     h6 = h / 6.0
 
     u_out = np.empty((steps + 1, n))
-    u = np.array(u0, dtype=float)
+    u = np.zeros(n)
     v = np.array(v0, dtype=float)
     u_out[0] = u
     # a non-finite state stays non-finite, so the last one tells
@@ -399,9 +400,8 @@ def shooting_distances(problems, candidates) -> list[float]:
     if not problems:
         return []
     brackets = [_slope_bracket(u) for u in candidates]
-    u_mid, blown = _integrate_rows(
-        problems, [0.0] * len(problems), [0.5 * (a + b) for a, b in brackets],
-        [0.5 * p.period for p in problems], _HALF_PERIOD_STEPS)
+    u_mid, blown = _integrate_rows(problems,
+                                   [0.5 * (a + b) for a, b in brackets])
     distances = []
     for problem, u, bracket, u_m, blew_up in zip(problems, candidates,
                                                  brackets, u_mid, blown):

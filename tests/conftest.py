@@ -16,12 +16,16 @@ PACKAGE_ROOT = str(Path(oddperiodic.__file__).resolve().parent.parent)
 CLI_TIMEOUT_S = 300
 
 
-def _run_python(*args, cwd):
+def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _run_python(*args, cwd):
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, cwd=cwd, env=env, timeout=CLI_TIMEOUT_S)
+                          text=True, cwd=cwd, env=_env(), timeout=CLI_TIMEOUT_S)
 
 
 @pytest.fixture
@@ -34,6 +38,15 @@ def run_python():
 def run_cli():
     """`run_cli(*args, cwd=...)` runs `python -m oddperiodic *args` in `cwd`."""
     return lambda *args, cwd: _run_python("-m", "oddperiodic", *args, cwd=cwd)
+
+
+@pytest.fixture
+def spawn_cli():
+    """`spawn_cli(*args, cwd=...)` starts `python -m oddperiodic *args` in
+    `cwd` with its stdout and stderr on pipes, as bytes."""
+    return lambda *args, cwd: subprocess.Popen(
+        [sys.executable, "-m", "oddperiodic", *args], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, cwd=cwd, env=_env())
 
 
 @pytest.fixture

@@ -1035,8 +1035,8 @@ def test_sweep_in_passes_equals_one_pass(tmp_path, monkeypatch):
                                           (2048, [128] * 4 + [88])])
 def test_sweep_pass_bounds_its_rows(tmp_path, monkeypatch, modes, passes):
     # each row's half-period shot holds its tables of k and u whatever its
-    # modes, so a pass takes at most 256 rows, and fewer where their
-    # working coefficients pass 2^18
+    # modes, so a row counts as at least 1024 of a pass's 2^18 working
+    # coefficients: 256 rows at 8 modes, 128 at 2048
     from oddperiodic import cli
 
     rows_per_call = []
@@ -1150,9 +1150,62 @@ RECORDS = st.dictionaries(RECORD_KEYS, st.recursive(
 def test_dumps_writes_non_finite_floats_as_null(record):
     from oddperiodic import cli
 
-    text = cli._dumps(record)
-    assert text == json.dumps(finite_or_null(record), indent=2, sort_keys=True)
+    fh = io.StringIO()
+    cli._write_record(record, fh)
+    text = fh.getvalue()
+    assert text == json.dumps(finite_or_null(record), indent=2,
+                              sort_keys=True) + "\n"
     read_strict(text)
+
+
+class _Sink:
+    """A stream that counts the characters it is given and keeps none."""
+
+    def __init__(self):
+        self.written = 0
+
+    def write(self, text):
+        self.written += len(text)
+
+
+def _sweep_record(rows: int) -> dict:
+    """A sweep run record of ``rows`` rows; every 7th row has a NaN
+    oracle distance and an infinite residual."""
+    table = [{"param": 1.0 + 2e-4 * i, "lambda": 0.1 * i, "holds": i % 3 == 0,
+              "converged": True, "iterations": 12, "solution_norm": 0.01 * i,
+              "residual": math.inf if i % 7 == 0 else 1e-13 * i,
+              "oracle_distance": math.nan if i % 7 == 0 else 1e-12 * i}
+             for i in range(rows)]
+    return {"command": "sweep", "label": "pendulum", "config": PENDULUM,
+            "options": {"param": "period", "steps": rows, "modes": 8},
+            "outcome": {"rows": table, "out": "s.csv"}, "wall_time_s": 1.0}
+
+
+# The record goes into its stream as it is encoded: no joined text and no
+# list of json's chunks is held, so the peak is the parsed copy of the
+# record, about twice its text (encoding it whole took 7.6 times).
+def test_write_record_memory_is_the_parsed_record():
+    from oddperiodic import cli
+
+    cli._write_record(_sweep_record(2), _Sink())  # json's first-use costs
+    record, sink = _sweep_record(10_000), _Sink()
+    peak = _traced_peak(cli._write_record, record, sink)
+    assert sink.written > 2_000_000
+    assert peak <= 3 * sink.written
+
+
+def test_a_closed_stdout_keeps_the_exit_code_and_a_quiet_stderr(tmp_path,
+                                                                spawn_cli):
+    # 300 rows make a record of about 90 KB, more than a pipe buffer holds,
+    # so the writer meets the closed pipe
+    cfg = write_config(tmp_path, PENDULUM)
+    child = spawn_cli("sweep", cfg, "--param", "period", "--from", "1",
+                      "--to", "3", "--steps", "300", "--modes", "8",
+                      "--out", str(tmp_path / "s.csv"), cwd=tmp_path)
+    assert child.stdout.read(10) == b'{\n  "comma'
+    child.stdout.close()
+    _, stderr = child.communicate(timeout=300)
+    assert child.returncode == 0 and stderr == b""
 
 
 # Numbers across the float line, as argv strings: non-finite, signed zero,

@@ -447,8 +447,7 @@ class TestBatchedShots:
         ]
         problems = [p for p, _ in rows]
         t_end = [0.5 * p.period for p in problems]
-        u, blown = oracle._integrate_rows(
-            problems, [0.0] * len(rows), [v0 for _, v0 in rows], t_end, 1024)
+        u, blown = oracle._integrate_rows(problems, [v0 for _, v0 in rows])
         assert blown.tolist() == [False, False, False, True, False]
         for i, (p, v0) in enumerate(rows):
             if blown[i]:
@@ -459,9 +458,8 @@ class TestBatchedShots:
                                                       steps=1024).u)
         # without the escaping row the others come out the same
         keep = [0, 1, 2, 4]
-        u_alone, _ = oracle._integrate_rows(
-            [problems[i] for i in keep], [0.0] * 4, [rows[i][1] for i in keep],
-            [t_end[i] for i in keep], 1024)
+        u_alone, _ = oracle._integrate_rows([problems[i] for i in keep],
+                                            [rows[i][1] for i in keep])
         assert np.array_equal(u_alone, u[keep])
 
     def test_shooting_distances_equal_cross_validate(self, shot_slopes):
@@ -543,7 +541,7 @@ class TestBatchedShots:
 
     def test_a_lone_row_that_escapes(self):
         cubic = builtin("cubic", {"c3": -1.0}, period=T2PI, forcing=[(1, 1.0)])
-        u, blown = oracle._integrate_rows([cubic], [0.0], [50.0], [np.pi], 64)
+        u, blown = oracle._integrate_rows([cubic], [50.0])
         with pytest.raises(BlowUpError):
-            integrate_ivp(cubic, 0.0, 50.0, np.pi, steps=64)
+            integrate_ivp(cubic, 0.0, 50.0, np.pi, steps=1024)
         assert blown.tolist() == [True] and not np.isfinite(u[0, -1])

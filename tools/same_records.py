@@ -5,7 +5,7 @@ Usage:
     python tools/same_records.py PARENT_SRC CHANGE_SRC
 
 Each argument is a ``src`` directory that holds the ``oddperiodic``
-package.  The script runs one fixed set of 123 CLI commands (below) once
+package.  The script runs one fixed set of 124 CLI commands (below) once
 per tree, with that tree first on ``PYTHONPATH``, each tree in its own
 temporary directory holding a copy of ``configs/``, a fixed set of
 malformed solution files for ``verify`` to refuse, the files of the
@@ -23,7 +23,7 @@ dotted key paths at which the two differ, list items by index, for
 example ``cmd_94.stdout: outcome.apriori_bound``.
 
 Standard library only.  The two trees run side by side, one command at a
-time each; on two cores the whole set takes about 40 s.
+time each; on two cores the whole set takes about 90 s.
 """
 
 from __future__ import annotations
@@ -176,6 +176,9 @@ def commands() -> list[list[str]]:
         _sweep("configs/tanh.json", "period", 0.5, 6.0, 40, 64, "--max-iter", "40"),
         # 20 rows of 16384 modes: two passes
         _sweep("configs/pendulum.json", "period", 1.0, 12.0, 20, 16384, "--max-iter", "2"),
+        # 600 rows of 8 modes: passes of 256, 256 and 88 rows, and a record
+        # with null cells
+        _sweep("configs/cubic_large.json", "period", 1.0, 40.0, 600, 8),
     ]
     cmds = [argv + ["--out", f"sweep_{i}.csv"] for i, argv in enumerate(cmds)]
     for name in NAMES:
