@@ -70,7 +70,8 @@ SWEEP_COLUMNS = ["param", "lambda", "holds", "converged", "iterations",
 MAX_SWEEP_STEPS = 10_000
 # a sweep solves and shoots its rows in passes and keeps only the table rows
 # between them: a pass holds this many working coefficients (rows x modes)
-# at most, a row counting as at least 1024 for its shot's 24 KB of tables
+# at most, a row counting as at least 1024, so that a pass holds at most 256
+# of a row's objects that do not shrink with N (its problem, report and shot)
 SWEEP_PASS_COEFFS = 2**18
 
 

@@ -26,6 +26,7 @@ import numpy as np
 
 from .funcspace import (
     OddPeriodicFunction,
+    _half_grid,
     _sine_rows,
     differentiate,
     grid_samples,
@@ -56,6 +57,7 @@ _STEPS_PER_PERIOD = 2048
 _SHOOT_TOL = 1e-11
 _RECONSTRUCTION_MODES = 256
 _HALF_PERIOD_STEPS = _STEPS_PER_PERIOD // 2
+_NODE_STRIDE = _HALF_PERIOD_STEPS // _RECONSTRUCTION_MODES
 # shoot's walk from a missed midpoint m: the first offset in units of
 # 1 + |m| (about RK4's own error in the root) and its growth per step
 _WALK_FIRST = 1e-9
@@ -121,17 +123,29 @@ class CrossValidation:
 
 
 def _default_steps(t_end: float, period: float) -> int:
-    return max(16, math.ceil(_STEPS_PER_PERIOD * t_end / period))
+    return max(16, math.ceil(_STEPS_PER_PERIOD * abs(t_end) / period))
 
 
-@functools.lru_cache(maxsize=1)
 def _forcing_samples(problem, t_end: float, steps: int) -> tuple[np.ndarray, ...]:
     """k at the nodes and midpoints of the grid h = t_end/steps, for
-    :func:`integrate_ivp` and each row of :func:`_integrate_rows`; kept for
-    the last grid, so the shots of one shooting solve share them."""
+    :func:`integrate_ivp` and each row of :func:`_integrate_rows`.  On a
+    half-period grid, that of every shot, they are k(j*T/(4*steps)) at even
+    and odd j whatever T is: one FFT synthesis of k's coefficients, which
+    folds any mode exactly, kept for the last coefficients and steps, so
+    all shots of one forcing read the same two arrays.  Any other grid
+    evaluates k pointwise."""
+    if t_end == 0.5 * problem.period:
+        return _half_period_samples(problem.k.coeffs.tobytes(), steps)
     h = t_end / steps
     t = h * np.arange(steps + 1)
     return problem.k(t), problem.k(t[:-1] + 0.5 * h)
+
+
+@functools.lru_cache(maxsize=1)
+def _half_period_samples(coeffs: bytes, steps: int) -> tuple[np.ndarray, ...]:
+    k = _half_grid(np.frombuffer(coeffs), 4 * steps)
+    k.flags.writeable = False  # every shot of the forcing reads these
+    return k[::2], k[1::2]
 
 
 def integrate_ivp(problem, u0: float, v0: float, t_end: float,
@@ -146,8 +160,10 @@ def integrate_ivp(problem, u0: float, v0: float, t_end: float,
     BlowUpError
         If the state becomes non-finite; carries the escape time.
     ValueError
-        If steps < 16.
+        If t_end is not finite or steps < 16.
     """
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end!r}")
     if steps is None:
         steps = _default_steps(t_end, problem.period)
     steps = int(steps)
@@ -204,24 +220,28 @@ def _integrate_rows(problems, v0):
     u(0) = 0 with slope ``v0[i]`` to T_i/2 in _HALF_PERIOD_STEPS RK4
     steps: one loop over the steps on arrays over the rows.
 
-    Returns u at the nodes, one row per problem, and the mask of the rows
+    Rows of one forcing, as in a sweep pass, read the same samples of k
+    (:func:`_forcing_samples`) as one column; rows of different forcings
+    stack theirs.  Returns u at the nodes that :func:`_reconstruct` reads,
+    every 4th from 0 to T/2, one row per problem, and the mask of the rows
     that blow up.  Rows never mix, so a row that blows up runs on beside
     the others, non-finite to the end, and leaves them untouched; row i
-    of u is bitwise that of integrate_ivp wherever the mask is clear, and
-    integrate_ivp raises BlowUpError wherever it is set.
+    of u is bitwise that of integrate_ivp at those nodes wherever the mask
+    is clear, and integrate_ivp raises BlowUpError wherever it is set.
     """
     n, steps = len(problems), _HALF_PERIOD_STEPS
     t_end = [0.5 * p.period for p in problems]
     h = np.array(t_end) / steps
-    # forcing at the nodes and midpoints of each row, one step per line
-    k_node, k_half = np.empty((steps + 1, n)), np.empty((steps, n))
-    for j, (p, t_j) in enumerate(zip(problems, t_end)):
-        k_node[:, j], k_half[:, j] = _forcing_samples(p, t_j, steps)
+    samples = [_forcing_samples(p, t_j, steps) for p, t_j in zip(problems, t_end)]
+    if all(s is samples[0] for s in samples):
+        k_node, k_half = samples[0]
+    else:  # forcing at the nodes and midpoints of each row, one step per line
+        k_node, k_half = (np.stack(k, axis=1) for k in zip(*samples))
     g = _row_values([p.g for p in problems])
     h2 = 0.5 * h
     h6 = h / 6.0
 
-    u_out = np.empty((steps + 1, n))
+    u_out = np.empty((_RECONSTRUCTION_MODES + 1, n))
     u = np.zeros(n)
     v = np.array(v0, dtype=float)
     u_out[0] = u
@@ -230,21 +250,24 @@ def _integrate_rows(problems, v0):
         for i in range(steps):
             u, v = _rk4_step(g, u, v, h, h2, h6, k_node[i], k_half[i],
                              k_node[i + 1])
-            u_out[i + 1] = u
+            if (i + 1) % _NODE_STRIDE == 0:
+                u_out[(i + 1) // _NODE_STRIDE] = u
     return u_out.T, ~(np.isfinite(u) & np.isfinite(v))
 
 
 def _reconstruct(u_nodes: np.ndarray, period: float) -> OddPeriodicFunction:
     """Odd-reflect a half-period shot and sine-analyze it to 256 modes.
 
-    The residual boundary defect b = u(T/2) would reflect into a value jump
-    of 2b whose sine coefficients decay only like 1/n; subtracting the ramp
-    b*t/(T/2) (a perturbation of size <= b, below the oracle floor) restores
-    endpoint consistency and keeps the spectral tail clean.
+    ``u_nodes`` holds u at t_j = j*T/512, j = 0..256: every 4th node of a
+    shot.  The residual boundary defect b = u(T/2) would reflect into a
+    value jump of 2b whose sine coefficients decay only like 1/n;
+    subtracting the ramp b*t/(T/2) (a perturbation of size <= b, below the
+    oracle floor) restores endpoint consistency and keeps the spectral
+    tail clean.
     """
     modes = _RECONSTRUCTION_MODES
     P = 2 * modes
-    half = u_nodes[:: _HALF_PERIOD_STEPS // modes].copy()
+    half = np.array(u_nodes, dtype=float)
     half -= half[-1] * (np.arange(modes + 1) / modes)
     samples = np.empty(P)
     samples[: modes + 1] = half
@@ -310,7 +333,8 @@ def shoot(problem, v0_bracket) -> ShootingResult:
             y = v0
         else:
             x, fx = v0, f
-    return ShootingResult(v0, f, traj, _reconstruct(traj.u, problem.period))
+    return ShootingResult(v0, f, traj,
+                          _reconstruct(traj.u[::_NODE_STRIDE], problem.period))
 
 
 def _walk(m: float, half: float):

@@ -4,11 +4,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import oddperiodic.oracle as oracle
 from oddperiodic import (
+    MAX_MODES,
     BlowUpError,
     OddPeriodicFunction,
     OracleInconclusiveError,
@@ -25,6 +26,7 @@ from oddperiodic import (
     shoot,
     shooting_distances,
     solve,
+    solve_many,
     solve_picard,
     sup_norm,
 )
@@ -59,11 +61,17 @@ def two_branch_pendulum():
 
 
 def reference_rk4(problem, v0, t_end, steps):
-    """Classical RK4 stepped on numpy scalars, written out term by term."""
+    """Classical RK4 stepped on numpy scalars, written out term by term.
+    On a half-period grid, k at the nodes and midpoints is the full grid
+    of 4*steps points up to T/2; on any other grid, k pointwise."""
     h = t_end / steps
     t = h * np.arange(steps + 1)
-    k_node = problem.k(t)
-    k_half = problem.k(t[:-1] + 0.5 * h)
+    if t_end == 0.5 * problem.period:
+        k_grid = grid_samples(problem.k, 4 * steps)[:2 * steps + 1]
+        k_node, k_half = k_grid[::2], k_grid[1::2]
+    else:
+        k_node = problem.k(t)
+        k_half = problem.k(t[:-1] + 0.5 * h)
     g = problem.g.value
     u_out = np.empty(steps + 1)
     v_out = np.empty(steps + 1)
@@ -117,15 +125,20 @@ class TestIntegrateIvp:
         assert abs(traj.u[-1]) < 1e-10
         np.testing.assert_allclose(traj.u, -np.sin(traj.t), atol=1e-10)
 
-    def test_default_step_density(self):
+    @pytest.mark.parametrize("t_end", [T2PI / 2, -T2PI / 2])
+    def test_default_step_density(self, t_end):
+        # |h| <= T/2048 backwards in time as forwards
         p = zero_problem()
-        traj = integrate_ivp(p, 0.0, 1.0, T2PI / 2)
+        traj = integrate_ivp(p, 0.0, 1.0, t_end)
         h = traj.t[1] - traj.t[0]
-        assert h <= T2PI / 2048 + 1e-15
+        assert abs(h) <= T2PI / 2048 + 1e-15
 
-    def test_rejects_too_few_steps(self):
-        with pytest.raises(ValueError):
-            integrate_ivp(zero_problem(), 0.0, 1.0, 1.0, steps=8)
+    @pytest.mark.parametrize("t_end,steps", [
+        (1.0, 8), (float("inf"), None), (float("-inf"), None),
+        (float("nan"), None), (float("nan"), 1024), (float("inf"), 1024)])
+    def test_rejects_too_few_steps_and_a_non_finite_end(self, t_end, steps):
+        with pytest.raises(ValueError, match="steps must be|t_end must be"):
+            integrate_ivp(zero_problem(), 0.0, 1.0, t_end, steps=steps)
 
     def test_blow_up_reports_escape_time(self):
         p = builtin("cubic", {"c3": -1.0}, period=T2PI, forcing=[])
@@ -138,10 +151,12 @@ class TestIntegrateIvp:
         ("tanh_g", {"s": 1.0}, [(1, 0.5)]),
         ("linear", {"c": 0.01}, [(1, 1.0), (3, -0.2)]),
     ])
-    def test_bitwise_equal_to_numpy_scalar_loop(self, family, params, forcing):
+    @pytest.mark.parametrize("t_end", [np.pi, 1.0])
+    def test_bitwise_equal_to_numpy_scalar_loop(self, family, params, forcing,
+                                                t_end):
         p = builtin(family, params, period=T2PI, forcing=forcing)
-        traj = integrate_ivp(p, 0.0, 0.3, np.pi, steps=1024)
-        u_ref, v_ref = reference_rk4(p, 0.3, np.pi, 1024)
+        traj = integrate_ivp(p, 0.0, 0.3, t_end, steps=1024)
+        u_ref, v_ref = reference_rk4(p, 0.3, t_end, 1024)
         assert np.array_equal(traj.u, u_ref)
         assert np.array_equal(traj.v, v_ref)
 
@@ -240,17 +255,60 @@ class TestShoot:
                               integrate_ivp(p, 0.0, m, np.pi, steps=steps).u)
         assert shot.boundary_defect == shot.trajectory.u[-1] == fm
 
-    def test_bisection_synthesizes_the_forcing_once(self, monkeypatch):
-        # k is sampled at the nodes and the midpoints of the first shot's
-        # grid; every later shot of the solve reuses those samples
-        calls = []
+    def test_half_period_shots_read_one_synthesis_of_k(self, monkeypatch):
+        # a period sweep's rows share k's coefficients: every shot, batched
+        # or scalar (the poor row's bisection), reads the same two arrays,
+        # and none evaluates k pointwise
+        tanh = builtin("tanh_g", {"s": 1.0}, period=T2PI, forcing=[(1, 0.5)])
+        problems = [make_problem(T, tanh.g, [(1, 0.5)], label="tanh")
+                    for T in (1.0, 2.5, 4.0)]
+        candidates = [r.solution for r in solve_many(problems, modes=64)]
+        # a poor candidate, whose midpoint misses and goes to shoot
+        problems.append(problems[1])
+        candidates.append(OddPeriodicFunction(2.5, [-0.1]))
+        calls, read = [], []
         original = OddPeriodicFunction.__call__
         monkeypatch.setattr(OddPeriodicFunction, "__call__",
                             lambda f, t: calls.append(f) or original(f, t))
-        p = zero_problem()
-        shot = shoot(p, (-2.0, 0.5))
-        assert abs(shot.v0 + 1.0) < 1e-10  # u = -sin t
-        assert len(calls) <= 2 and all(f is p.k for f in calls)
+        samples = oracle._forcing_samples
+        monkeypatch.setattr(oracle, "_forcing_samples",
+                            lambda *args: read.append(samples(*args)) or read[-1])
+        shoot(problems[0], oracle._slope_bracket(candidates[0]))
+        distances = shooting_distances(problems, candidates)
+        assert calls == [] and all(np.isfinite(distances))
+        # one read of the shot, one per batched row, and those of shoot's
+        # shots for the poor row
+        assert len(read) > 1 + len(problems)
+        assert all(r is read[0] for r in read)
+        assert all(a is b for r in read for a, b in zip(r, read[0]))
+
+    @seed(20261021)
+    @settings(max_examples=40, deadline=None, database=None)
+    @example(period=T2PI, forcing=[(1, 1.0), (65536, 1e-3)],
+             points=[0, 1, 2047, 2048])
+    @given(period=st.floats(1e-3, 1e3),
+           forcing=st.lists(st.tuples(st.integers(1, MAX_MODES),
+                                      st.floats(-1e3, 1e3)),
+                            min_size=1, max_size=3, unique_by=lambda f: f[0]),
+           points=st.lists(st.integers(0, 2048), min_size=1, max_size=32))
+    def test_half_period_samples_agree_with_pointwise_k(self, period, forcing,
+                                                        points):
+        # the FFT samples, modes above 4096 folded onto the grid, against
+        # problem.k at the nodes (even j) and midpoints (odd j) of a shot's
+        # grid, at a few points j: the pointwise sum rounds each phase 2*pi*n*t/T
+        # (up to pi*n) by a few ulps, so the bound grows with the top mode
+        p = builtin("zero", period=period, forcing=forcing)
+        steps = oracle._HALF_PERIOD_STEPS
+        k_node, k_half = oracle._forcing_samples(p, 0.5 * period, steps)
+        h = 0.5 * period / steps
+        j = np.array(points)
+        t = h * (j // 2) + np.where(j % 2, 0.5 * h, 0.0)
+        fft = np.where(j % 2, k_half[np.minimum(j // 2, steps - 1)],
+                       k_node[j // 2])
+        top = max(mode for mode, _ in forcing)
+        l1 = float(np.sum(np.abs(p.k.coeffs)))
+        bound = 4 * np.pi * (1 + top) * np.finfo(float).eps * l1
+        assert np.max(np.abs(fft - p.k(t))) <= bound
 
     def test_returns_the_root_nearest_the_midpoint(self):
         p = two_branch_pendulum()
@@ -454,8 +512,9 @@ class TestBatchedShots:
                 with pytest.raises(BlowUpError):
                     integrate_ivp(p, 0.0, v0, t_end[i], steps=1024)
                 continue
+            # the batched shot keeps every 4th node, the last included
             assert np.array_equal(u[i], integrate_ivp(p, 0.0, v0, t_end[i],
-                                                      steps=1024).u)
+                                                      steps=1024).u[::4])
         # without the escaping row the others come out the same
         keep = [0, 1, 2, 4]
         u_alone, _ = oracle._integrate_rows([problems[i] for i in keep],

@@ -5,7 +5,7 @@ Usage:
     python tools/same_records.py PARENT_SRC CHANGE_SRC
 
 Each argument is a ``src`` directory that holds the ``oddperiodic``
-package.  The script runs one fixed set of 124 CLI commands (below) once
+package.  The script runs one fixed set of 127 CLI commands (below) once
 per tree, with that tree first on ``PYTHONPATH``, each tree in its own
 temporary directory holding a copy of ``configs/``, a fixed set of
 malformed solution files for ``verify`` to refuse, the files of the
@@ -13,7 +13,9 @@ malformed solution files for ``verify`` to refuse, the files of the
 configs that take the error and override paths of a problem's certificate
 and a-priori bound, a config forced at two modes, a config whose iterates
 overflow, a config with a derivative bound override for a ``--param``
-sweep, and a config at period 1e-150, where (2*pi*n/T)^2 overflows.  It then compares what the two runs left: every record
+sweep, a config at period 1e-150, where (2*pi*n/T)^2 overflows, and a
+config forced at a mode above the 4096 points of a shot's grid of k.  It
+then compares what the two runs left: every record
 on stdout, every stderr, every exit code, and every CSV and sidecar
 written.  The only part left out is the ``wall_time_s`` field of records
 and sidecars.  The names of the files that differ are printed, and the
@@ -160,6 +162,15 @@ def tiny_period_configs() -> dict[str, str]:
     return {"pendulum_tiny_period.json": json.dumps(dict(base, period=1e-150))}
 
 
+def high_mode_configs() -> dict[str, str]:
+    """Configs by file name: ``configs/pendulum.json`` forced at mode 1 and
+    at mode 5000 (amplitude 1e-8), above the 4096 points on which the
+    oracle samples k for a shot, so that the samples fold it."""
+    base = json.loads((CONFIGS / "pendulum.json").read_text())
+    forcing = base["forcing"] + [{"mode": 5000, "amplitude": 1e-8}]
+    return {"pendulum_high_mode.json": json.dumps(dict(base, forcing=forcing))}
+
+
 def commands() -> list[list[str]]:
     """The command set: each argv runs as ``python -m oddperiodic argv``."""
     cmds = [
@@ -266,6 +277,13 @@ def commands() -> list[list[str]]:
             out = f"{cfg.removesuffix('.json')}_{modes}.csv"
             cmds += [["solve", cfg, "--modes", str(modes), "--out", out],
                      ["verify", cfg, out]]
+    # a forcing mode folded onto the shot grid: solve, verify and a sweep
+    for cfg in high_mode_configs():
+        stem = cfg.removesuffix(".json")
+        cmds += [["solve", cfg, "--modes", "64", "--out", f"{stem}.csv"],
+                 ["verify", cfg, f"{stem}.csv"],
+                 _sweep(cfg, "period", 1.0, 12.0, 8, 64,
+                        "--out", f"{stem}_period.csv")]
     return cmds
 
 
@@ -277,7 +295,7 @@ def run_all(src: Path, workdir: Path) -> None:
                        **derived_constant_configs(),
                        **multi_mode_configs(),
                        **overflowing_configs(), **bound_override_configs(),
-                       **tiny_period_configs()}.items():
+                       **tiny_period_configs(), **high_mode_configs()}.items():
         (workdir / name).write_bytes(text.encode())
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
