@@ -50,6 +50,7 @@ from .solver import (
     DEFAULT_MAX_ITER,
     DEFAULT_MODES,
     DEFAULT_TOL,
+    METHODS,
     MajorantError,
     certify,
     solve,
@@ -335,8 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_command("certify", cmd_certify, "evaluate the contraction certificate")
 
     p = add_command("solve", cmd_solve, "solve and write CSV + JSON sidecar")
-    p.add_argument("--method", choices=["picard", "continuation", "auto"],
-                   default="auto")
+    p.add_argument("--method", choices=METHODS, default="auto")
     add_solver_flags(p)
     p.add_argument("--out", type=Path, default="solution.csv")
 

@@ -90,6 +90,8 @@ def _check_limits(modes=None, tol=None, max_iter=None) -> None:
 def _number(value, code: str, what: str) -> float:
     """``value`` as a finite float; ProblemError(code) naming ``what`` if not."""
     try:
+        if isinstance(value, (bool, np.bool_)):  # float(True) is 1.0
+            raise TypeError
         number = float(value)
     except OverflowError:  # an integer whose repr would swamp the message
         raise ProblemError(code, f"{what} is too large for a float") from None

@@ -56,6 +56,7 @@ __all__ = [
     "uniqueness_probe",
 ]
 
+METHODS = ("picard", "continuation", "auto")
 DEFAULT_MODES = 256
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10_000
@@ -145,9 +146,8 @@ def solve_many(problems, *, method: str = "auto", tol: float = DEFAULT_TOL,
     """Solve every problem in lockstep; a report is bitwise the one a
     separate solve of its problem returns.
 
-    ``method`` is ``picard``, ``continuation`` (``max_iter`` caps each
-    stage) or ``auto``: Picard where the contraction certificate holds or
-    g declares no majorant, continuation otherwise.  Each report carries
+    ``method`` is one of :data:`METHODS`, applied per problem by :func:`_row`;
+    ``max_iter`` caps each continuation stage.  Each report carries
     the certificate its problem derived at validation.  The rows of
     one working size step together as one array (see :func:`_drive`), and
     rows whose g are of one built-in family evaluate it in one call (see
@@ -156,23 +156,10 @@ def solve_many(problems, *, method: str = "auto", tol: float = DEFAULT_TOL,
     before any problem is looked at (see :func:`problems._check_limits`),
     and MajorantError where continuation meets a g without majorants.
     """
-    if method not in ("auto", "picard", "continuation"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     _check_limits(modes, tol, max_iter)
-    rows = []
-    for problem in problems:
-        cert = problem.certificate
-        if method == "picard" or (method == "auto" and (
-                cert is not None and cert.holds or not problem.majorants)):
-            rows.append(_picard_row(problem, None, modes))
-        elif not problem.majorants:
-            raise MajorantError(
-                "continuation requires a sublinearity declaration: g must "
-                f"carry majorant pairs, but {problem.g.name!r} has none")
-        else:
-            N = max(int(modes), problem.k.modes)
-            rows.append(_ContinuationRow(problem, "continuation", np.zeros(N),
-                                         problem.apriori_bound))
+    rows = [_row(problem, method, modes) for problem in problems]
     return _drive(rows, tol, max_iter)
 
 
@@ -200,7 +187,7 @@ def solve_picard(problem, *, initial_guess: OddPeriodicFunction | None = None,
         Working truncation order (raised to the forcing's order if needed).
     """
     _check_limits(modes, tol, max_iter)
-    row = _picard_row(problem, initial_guess, modes)
+    row = _row(problem, "picard", modes, initial_guess)
     (report,) = _drive([row], tol, max_iter)
     return report
 
@@ -232,18 +219,27 @@ def solve_continuation(problem, *, tol: float = DEFAULT_TOL,
                  max_iter=max_iter_per_step, modes=modes)
 
 
-def _picard_row(problem, initial_guess, modes) -> _Row:
-    """The Picard solve of :func:`solve_picard` as a row of :func:`_drive`."""
+def _row(problem, method, modes, guess=None) -> _Row:
+    """``problem``'s solve by ``method`` as a row of :func:`_drive`, by the
+    one solve policy: Picard where ``method`` is ``picard``, or ``auto`` and
+    the certificate holds or g declares no majorant, from zeros or ``guess``;
+    continuation from zeros otherwise, where MajorantError is raised if g
+    declares no majorant.  The row works at max(modes, k.modes) modes."""
+    holds = problem.certificate is not None and problem.certificate.holds
     N = max(int(modes), problem.k.modes)
-    if initial_guess is None:
-        u = OddPeriodicFunction.zero(problem.period, N)
-    else:
-        u = initial_guess.with_modes(max(N, initial_guess.modes))
-        _check_period(problem, u)
-    cert = problem.certificate
-    regime = ("certified_contraction" if cert is not None and cert.holds
-              else "uncertified_picard")
-    return _Row(problem, regime, u.coeffs)
+    if method == "picard" or (method == "auto" and (holds or not problem.majorants)):
+        start = np.zeros(N)
+        if guess is not None:
+            _check_period(problem, guess)
+            start = guess.with_modes(max(N, guess.modes)).coeffs
+        return _Row(problem, "certified_contraction" if holds
+                    else "uncertified_picard", start)
+    if not problem.majorants:
+        raise MajorantError(
+            "continuation requires a sublinearity declaration: g must "
+            f"carry majorant pairs, but {problem.g.name!r} has none")
+    return _ContinuationRow(problem, "continuation", np.zeros(N),
+                            problem.apriori_bound)
 
 
 class _Row:
@@ -265,14 +261,12 @@ class _Row:
         self.hist: list[float] = []
         self.step_norms: list[float] = []
         self.lambda_path: list[float] = []
-        self.converged = False
         self.failure: str | None = None
 
     def end_stage(self, converged, blown, b, last_norm, tol) -> bool:
         """Close the running stage at iterate ``b``, whose 4N grid maximum
         is ``last_norm``; True if a next stage starts."""
         self.start, self.step_norms = b.copy(), self.hist
-        self.converged = converged
         if not converged:
             self.failure = "non_finite" if blown else "max_iter"
         return False
@@ -285,7 +279,7 @@ class _Row:
             step_norms=self.step_norms,
             residual=ode_residual(self.problem, u),
             regime=self.regime,
-            converged=self.converged,
+            converged=self.failure is None,
             failure=self.failure,
             lambda_path=self.lambda_path,
             apriori_bound=self.bound,
@@ -313,7 +307,6 @@ class _ContinuationRow(_Row):
             self.start, self.step_norms = b.copy(), self.hist
             self.lambda_path.append(self.lam)
             if self.lam >= 1.0:
-                self.converged = True
                 return False
         else:
             self.lam_step *= 0.5
@@ -488,7 +481,7 @@ def uniqueness_probe(problem, trials: int, *, tol: float = DEFAULT_TOL,
             f"uniqueness probe requires a holding certificate; lambda = "
             f"{cert.factor:.4g} >= 1")
     guesses = np.random.default_rng(seed).uniform(-10.0, 10.0, (trials, 8))
-    rows = [_picard_row(problem, OddPeriodicFunction(problem.period, b), modes)
+    rows = [_row(problem, "picard", modes, OddPeriodicFunction(problem.period, b))
             for b in guesses]
     reports = _drive(rows, tol, DEFAULT_MAX_ITER)
     for report in reports:

@@ -282,6 +282,34 @@ class TestParseProblem:
             parse_problem(dict(self.PENDULUM, **override))
         assert e.value.code == code
 
+    @pytest.mark.parametrize("override,code,what", [
+        ({"period": True}, "bad_period", "period"),
+        ({"params": {"a": True}}, "bad_params", "param a"),
+        ({"forcing": [{"mode": 1, "amplitude": True}]}, "bad_forcing",
+         "amplitude for mode 1"),
+        ({"derivative_bound": True}, "bad_derivative_bound", "derivative_bound"),
+        ({"majorants": [{"eps": True, "M": 0.0}]}, "bad_majorant", "majorant eps"),
+    ], ids=["period", "params", "forcing", "derivative_bound", "majorant"])
+    def test_boolean_in_any_number_field_rejected(self, override, code, what,
+                                                  tmp_path):
+        # float(True) is 1.0: a JSON true or false is not read as 1 or 0
+        cfg = dict(self.PENDULUM, **override)
+        message = f"{what} must be a number, got True"
+        with pytest.raises(ProblemError) as e:
+            parse_problem(cfg)
+        assert (e.value.code, str(e.value)) == (code, message)
+        numpy_cfg = json.loads(json.dumps(cfg), object_hook=lambda d: {
+            k: np.bool_(v) if isinstance(v, bool) else v for k, v in d.items()})
+        with pytest.raises(ProblemError) as e:
+            parse_problem(numpy_cfg)
+        assert e.value.code == code
+        path = tmp_path / "boolean.json"
+        path.write_text(json.dumps(cfg))
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            exit_code = cli.main(["certify", str(path)])
+        assert (exit_code, json.loads(stdout.getvalue())["error"]) == (
+            2, {"code": code, "message": message})
+
     @pytest.mark.parametrize("family", [["pendulum"], {"a": 1}, 7])
     def test_non_string_family_rejected(self, family):
         with pytest.raises(ProblemError) as e:

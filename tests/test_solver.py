@@ -267,7 +267,7 @@ class TestSolveLimits:
         def no_rows(*args, **kwargs):
             raise AssertionError("a row was built before the limits were checked")
 
-        for name in ("_picard_row", "_ContinuationRow", "_drive"):
+        for name in ("_row", "_ContinuationRow", "_drive"):
             monkeypatch.setattr(solver, name, no_rows)
         # tanh at 2*pi: continuation runs, and the certificate fails, so
         # uniqueness_probe refuses the limit before the certificate
@@ -888,13 +888,16 @@ def test_every_accepted_problem_ends_in_reports(problems, method, tol,
     """solve_many, solve_picard from an initial guess, uniqueness_probe
     where the certificate holds and shooting_distances end in their
     results, or in their documented exceptions, and never in a warning
-    (which the test settings make an error)."""
+    (which the test settings make an error); each report's regime is the
+    solve policy's choice for its problem and method."""
     first = problems[0]
     report = solve_picard(first, tol=tol, max_iter=max_iter, modes=modes,
                           initial_guess=OddPeriodicFunction(first.period,
                                                             guess))
     assert report.failure in (None, "max_iter", "non_finite")
     assert report.converged == (report.failure is None)
+    holds = [p.certificate is not None and p.certificate.holds for p in problems]
+    assert (report.regime == "certified_contraction") == holds[0]
     for problem in problems:
         if problem.certificate is not None and problem.certificate.holds:
             try:
@@ -910,10 +913,18 @@ def test_every_accepted_problem_ends_in_reports(problems, method, tol,
         assert method == "continuation"
         assert not all(p.majorants for p in problems)
         return
-    for report in reports:
+    for problem, certified, report in zip(problems, holds, reports):
         assert report.failure in (None, "max_iter", "non_finite",
                                   "step_underflow", "apriori_violation")
         assert report.converged == (report.failure is None)
+        # the solve policy: Picard for picard, and for auto where the
+        # certificate holds or g declares no majorant
+        if method == "picard" or (method == "auto" and (
+                certified or not problem.majorants)):
+            assert report.regime == ("certified_contraction" if certified
+                                     else "uncertified_picard")
+        else:
+            assert report.regime == "continuation"
     distances = shooting_distances(problems, [r.solution for r in reports])
     assert len(distances) == len(problems)
 

@@ -5,7 +5,7 @@ Usage:
     python tools/same_records.py PARENT_SRC CHANGE_SRC
 
 Each argument is a ``src`` directory that holds the ``oddperiodic``
-package.  The script runs one fixed set of 127 CLI commands (below) once
+package.  The script runs one fixed set of 128 CLI commands (below) once
 per tree, with that tree first on ``PYTHONPATH``, each tree in its own
 temporary directory holding a copy of ``configs/``, a fixed set of
 malformed solution files for ``verify`` to refuse, the files of the
@@ -13,8 +13,9 @@ malformed solution files for ``verify`` to refuse, the files of the
 configs that take the error and override paths of a problem's certificate
 and a-priori bound, a config forced at two modes, a config whose iterates
 overflow, a config with a derivative bound override for a ``--param``
-sweep, a config at period 1e-150, where (2*pi*n/T)^2 overflows, and a
-config forced at a mode above the 4096 points of a shot's grid of k.  It
+sweep, a config at period 1e-150, where (2*pi*n/T)^2 overflows, a
+config forced at a mode above the 4096 points of a shot's grid of k, and
+a config with JSON booleans where numbers belong.  It
 then compares what the two runs left: every record
 on stdout, every stderr, every exit code, and every CSV and sidecar
 written.  The only part left out is the ``wall_time_s`` field of records
@@ -171,6 +172,16 @@ def high_mode_configs() -> dict[str, str]:
     return {"pendulum_high_mode.json": json.dumps(dict(base, forcing=forcing))}
 
 
+def boolean_configs() -> dict[str, str]:
+    """Configs by file name: ``configs/pendulum.json`` with JSON booleans
+    as its period, its parameter and its forcing amplitude, which are
+    refused as numbers."""
+    base = json.loads((CONFIGS / "pendulum.json").read_text())
+    return {"boolean_numbers.json": json.dumps(dict(
+        base, params={"a": True}, period=True,
+        forcing=[{"mode": 1, "amplitude": False}]))}
+
+
 def commands() -> list[list[str]]:
     """The command set: each argv runs as ``python -m oddperiodic argv``."""
     cmds = [
@@ -284,6 +295,8 @@ def commands() -> list[list[str]]:
                  ["verify", cfg, f"{stem}.csv"],
                  _sweep(cfg, "period", 1.0, 12.0, 8, 64,
                         "--out", f"{stem}_period.csv")]
+    # booleans where numbers belong: refused, not read as 1 and 0
+    cmds += [["certify", cfg] for cfg in boolean_configs()]
     return cmds
 
 
@@ -295,7 +308,8 @@ def run_all(src: Path, workdir: Path) -> None:
                        **derived_constant_configs(),
                        **multi_mode_configs(),
                        **overflowing_configs(), **bound_override_configs(),
-                       **tiny_period_configs(), **high_mode_configs()}.items():
+                       **tiny_period_configs(), **high_mode_configs(),
+                       **boolean_configs()}.items():
         (workdir / name).write_bytes(text.encode())
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
